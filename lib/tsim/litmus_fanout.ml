@@ -57,8 +57,7 @@ let robust_of sess mode =
   | `Witness w -> { robust_holds = false; robust_witness = Some w }
 
 let check ?pool ?max_states ?(oracle = Explorer)
-    ?(profiler = Tbtso_obs.Span.disabled) ?(robust = false)
-    ?(dpor = false) tasks =
+    ?(profiler = Tbtso_obs.Span.disabled) ?(robust = false) tasks =
   (* Each task runs inside one span labelled [file:mode] on whichever
      domain the pool hands it to, so a profiled [-j N] check shows the
      per-task schedule across domain tracks.
@@ -94,8 +93,8 @@ let check ?pool ?max_states ?(oracle = Explorer)
           task;
           result =
             Some
-              (Litmus_parse.check ?max_states ~profiler ~dpor
-                 ?pool:intra task.test ~mode:task.mode);
+              (Litmus_parse.check ?max_states ~profiler ?pool:intra task.test
+                 ~mode:task.mode);
           sat = None;
           disagree = None;
           robustness;
@@ -114,8 +113,8 @@ let check ?pool ?max_states ?(oracle = Explorer)
         }
     | Both ->
         let op =
-          Litmus.explore ~mode:task.mode ?max_states ~profiler ~dpor
-            ?pool:intra task.test.Litmus_parse.program
+          Litmus.explore ~mode:task.mode ?max_states ~profiler ?pool:intra
+            task.test.Litmus_parse.program
         in
         let sx =
           Axiomatic.explore ~mode:task.mode ~profiler
@@ -329,8 +328,8 @@ let record v =
 
 let json_doc ~registry verdicts =
   let schema =
-    if List.exists (fun v -> v.sat <> None) verdicts then "tbtso-sat/2"
-    else "tbtso-litmus/3"
+    if List.exists (fun v -> v.sat <> None) verdicts then "tbtso-sat/3"
+    else "tbtso-litmus/4"
   in
   Json.obj
     [

@@ -72,7 +72,6 @@ val check :
   ?oracle:oracle ->
   ?profiler:Tbtso_obs.Span.t ->
   ?robust:bool ->
-  ?dpor:bool ->
   task list ->
   verdict list
 (** Run every task under the chosen oracle(s) and return verdicts in
@@ -84,9 +83,7 @@ val check :
     inside each exploration — the explorer splits its own frontier
     across the domains ({!Litmus.explore}[ ?pool]) so a single
     heavyweight (file, mode) task still benefits from [-j N]; verdicts
-    are byte-identical either way. [dpor] (default off) switches the
-    explorer to source-DPOR reduction — same outcome sets, fewer
-    visited states (see {!Litmus.explore}).
+    are byte-identical either way.
     [max_states] budgets the explorer only; the SAT oracle uses its own
     {!Axiomatic.default_max_outcomes}. [robust] (default off)
     additionally decides SC-robustness of each task's mode via one
@@ -128,10 +125,10 @@ val record : verdict -> Tbtso_obs.Json.t
 
 val json_doc : registry:Tbtso_obs.Metrics.t -> verdict list -> Tbtso_obs.Json.t
 (** The result document: schema, per-task records in task order, and
-    the registry snapshot as [totals]. Schema is [tbtso-litmus/3] for
-    explorer-only runs (/3 adds the DPOR counters [wut_nodes],
-    [source_set_hits], [races_detected] and [frontier_steals] to each
-    record's [stats] and to [totals]) and [tbtso-sat/2] when any
+    the registry snapshot as [totals]. Schema is [tbtso-litmus/4] for
+    explorer-only runs (/4 drops the three source-DPOR counters of /3
+    from each record's [stats] and from [totals]) and [tbtso-sat/3]
+    when any
     record carries SAT-oracle data ([--oracle sat] or [--oracle both]):
     the sat schema extends the litmus record with the ["sat"] object
     and ["oracles_agree"] flag, and [totals] with the [sat.*] counters

@@ -20,11 +20,13 @@
     - Registers are [r0 r1 r2 r3] per thread.
     - Instructions: [store ADDR VAL], [load ADDR -> REG],
       [loadeq ADDR VAL skip N], [fence], [wait N],
-      [cas ADDR EXPECTED DESIRED -> REG] (1 on success).
+      [cas ADDR EXPECTED DESIRED -> REG] (1 on success). Wait durations
+      and skip counts must be non-negative.
     - The final line is a condition: [exists COND] asks whether some
       reachable outcome satisfies it (a witness query); [forall COND]
       asks whether all outcomes do (an invariant). [COND] is a
-      conjunction of [T:rN = V] (register of thread T) and [ADDR = V]
+      conjunction of [T:rN = V] (register of thread T, which must be
+      one of the file's threads, numbered from 0) and [ADDR = V]
       (final memory) terms joined by [/\].
     - [#] starts a comment; blank lines are ignored. *)
 
@@ -88,7 +90,6 @@ type check_result = {
 val check :
   ?max_states:int ->
   ?profiler:Tbtso_obs.Span.t ->
-  ?dpor:bool ->
   ?pool:Tbtso_par.Pool.t ->
   ?task_budget:int ->
   t ->
@@ -98,9 +99,8 @@ val check :
     [max_states] distinct states, default
     {!Litmus.default_max_states}) and evaluates the file's condition.
     Never raises on budget exhaustion — see [complete]. [profiler],
-    [dpor], [pool] and [task_budget] as in {!Litmus.explore}: [dpor]
-    switches on source-DPOR reduction, [pool] splits the frontier of
-    this single exploration across domains. *)
+    [pool] and [task_budget] as in {!Litmus.explore}: [pool] splits the
+    frontier of this single exploration across domains. *)
 
 val check_explored : t -> Litmus.result -> check_result
 (** Evaluate the condition over an explorer result the caller already

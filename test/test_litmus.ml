@@ -6,7 +6,6 @@ open Tsim
 open Litmus
 
 let check_bool = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
 
 (* Addresses and registers used by the classic tests. *)
 let x = 0
@@ -468,74 +467,6 @@ let prop_new_equals_reference =
         (fun mode -> enumerate ~mode p = enumerate_reference ~mode p)
         diff_modes)
 
-let prop_dpor_equals_reference =
-  (* The DPOR soundness property: source-DPOR prunes first-visit
-     branching but must keep the exact outcome set of both the
-     sleep-set-only explorer and the naive reference enumerator, under
-     every mode and the full Δ ∈ {1..8} sweep of [diff_modes]. *)
-  QCheck.Test.make
-    ~name:"DPOR ≡ sleep-set-only ≡ reference on random programs" ~count:40
-    program_arb3 (fun p ->
-      List.for_all
-        (fun mode ->
-          let d = (explore ~mode ~dpor:true p).outcomes in
-          d = enumerate ~mode p && d = enumerate_reference ~mode p)
-        diff_modes)
-
-let test_dpor_reduces_iriw () =
-  (* The acceptance bar from the issue: on 4-thread IRIW the DPOR
-     engine must visit at most half the states of the sleep-set-only
-     explorer in at least one mode, with an identical outcome set. *)
-  let iriw =
-    [
-      [ Store (x, 1) ];
-      [ Store (y, 1) ];
-      [ Load (x, r0); Load (y, r1) ];
-      [ Load (y, r0); Load (x, r1) ];
-    ]
-  in
-  let base = explore ~mode:M_tso iriw in
-  let dpor = explore ~mode:M_tso ~dpor:true iriw in
-  check_bool "outcome sets identical" true (base.outcomes = dpor.outcomes);
-  check_bool
-    (Printf.sprintf "DPOR visited ≤ 50%% of sleep-set-only (%d vs %d)"
-       dpor.stats.visited base.stats.visited)
-    true
-    (2 * dpor.stats.visited <= base.stats.visited);
-  check_bool "races detected" true (dpor.stats.races_detected > 0);
-  check_bool "wakeup nodes recorded" true (dpor.stats.wut_nodes > 0);
-  check_bool "source-set hits recorded" true (dpor.stats.source_set_hits > 0)
-
-let test_wut_insert_subsume () =
-  let module W = For_tests.Wut in
-  let t = W.create () in
-  check_bool "fresh tree has nothing pending" false (W.pending t);
-  check_bool "first insert added" true
-    (W.insert t ~initials:0b001 ~scheduled:0b000 [| 0; 2 |] = `Added);
-  check_bool "pending after insert" true (W.pending t);
-  check_int "nodes counts sequence length" 2 (W.nodes t);
-  (* Source-set condition: a weak initial already scheduled at the
-     frame means some scheduled branch reverses the race — subsumed. *)
-  check_bool "scheduled initial subsumes" true
-    (W.insert t ~initials:0b010 ~scheduled:0b110 [| 1; 2 |] = `Subsumed);
-  (* A stored sequence that is a prefix of [v] already forces the same
-     reversal. *)
-  check_bool "stored prefix subsumes" true
-    (W.insert t ~initials:0b001 ~scheduled:0b000 [| 0; 2; 1 |] = `Subsumed);
-  check_bool "empty sequence subsumed" true
-    (W.insert t ~initials:0b001 ~scheduled:0b000 [||] = `Subsumed);
-  check_bool "distinct sequence added" true
-    (W.insert t ~initials:0b100 ~scheduled:0b000 [| 2; 0 |] = `Added);
-  check_int "nodes accumulate" 4 (W.nodes t);
-  (match W.take t with
-  | Some v -> check_bool "FIFO pop returns oldest" true (v = [| 0; 2 |])
-  | None -> Alcotest.fail "expected a pending sequence");
-  (match W.take t with
-  | Some v -> check_bool "second pop in order" true (v = [| 2; 0 |])
-  | None -> Alcotest.fail "expected a second sequence");
-  check_bool "drained" false (W.pending t);
-  check_bool "take on empty" true (W.take t = None)
-
 let test_diff_boundary_grid () =
   (* Wait-vs-Δ boundary sweep on the flag protocol (with and without the
      fence), including waits well past the explorer's wait cap: the
@@ -652,14 +583,34 @@ let test_corpus_matches_reference () =
    every mode, over random programs and the whole corpus. *)
 let sat_corpus_modes = [ M_sc; M_tso; M_tbtso 1; M_tbtso 4; M_tbtso 64 ]
 
+let oracles_agree p =
+  List.for_all
+    (fun mode ->
+      let sat = Axiomatic.enumerate ~mode p in
+      sat = enumerate ~mode p && sat = enumerate_reference ~mode p)
+    diff_modes
+
 let prop_sat_equals_explorer =
   QCheck.Test.make ~name:"SAT oracle ≡ explore ≡ reference on random programs"
-    ~count:40 program_arb3 (fun p ->
-      List.for_all
-        (fun mode ->
-          let sat = Axiomatic.enumerate ~mode p in
-          sat = enumerate ~mode p && sat = enumerate_reference ~mode p)
-        diff_modes)
+    ~count:40 program_arb3 oracles_agree
+
+(* Fixed programs for the same three-way differential. The first pins
+   TSO[S=1] with CAS and multi-store buffers: a source-DPOR engine once
+   found 32 of its 48 outcomes under tsos:1. *)
+let fixed_diff_programs =
+  [
+    [
+      [ Store (x, 3); Load (x, 2); Store (y, 3); Load (y, r1) ];
+      [ Store (x, 2); Store (x, 1); Cas (y, 0, 1, r1) ];
+      [ Load (y, r0); Load (x, r1) ];
+    ];
+  ]
+
+let test_fixed_programs_match_oracles () =
+  List.iteri
+    (fun i p ->
+      check_bool (Printf.sprintf "fixed program %d" i) true (oracles_agree p))
+    fixed_diff_programs
 
 let test_corpus_matches_sat () =
   match corpus_paths () with
@@ -703,8 +654,8 @@ let gen_corpus_paths () =
       |> List.map (Filename.concat dir)
 
 let test_gen_corpus_matches_oracles () =
-  (* Explorer ≡ source-DPOR ≡ reference enumerator ≡ SAT oracle on every
-     generated file, across the mode grid. *)
+  (* Explorer ≡ reference enumerator ≡ SAT oracle on every generated
+     file, across the mode grid. *)
   match gen_corpus_paths () with
   | [] -> Alcotest.fail "litmus/gen corpus not found (missing dune deps?)"
   | paths ->
@@ -722,8 +673,6 @@ let test_gen_corpus_matches_oracles () =
               let base = enumerate ~mode test.program in
               check_bool (name "explorer ≡ reference") true
                 (base = enumerate_reference ~mode test.program);
-              check_bool (name "explorer ≡ DPOR") true
-                (base = (explore ~mode ~dpor:true test.program).outcomes);
               let sat = Axiomatic.explore ~mode test.program in
               check_bool (name "SAT complete") true sat.Axiomatic.complete;
               check_bool (name "explorer ≡ SAT") true
@@ -731,9 +680,9 @@ let test_gen_corpus_matches_oracles () =
             [ M_sc; M_tso; M_tsos 2; M_tbtso 1; M_tbtso 4; M_tbtso 8 ])
         paths
 
-let test_gen_corpus_fanout_parallel_dpor () =
-  (* The fanout driver over litmus/gen: sequential ≡ -j 2 and
-     sleep-set-only ≡ --dpor, verdict for verdict. *)
+let test_gen_corpus_fanout_parallel () =
+  (* The fanout driver over litmus/gen: sequential ≡ -j 2, verdict for
+     verdict. *)
   match gen_corpus_paths () with
   | [] -> Alcotest.fail "litmus/gen corpus not found (missing dune deps?)"
   | paths ->
@@ -764,17 +713,7 @@ let test_gen_corpus_fanout_parallel_dpor () =
       check_bool "no oracle disagreement over litmus/gen" true
         (List.for_all
            (fun (v : Litmus_fanout.verdict) -> v.Litmus_fanout.disagree = None)
-           seq);
-      let plain = Litmus_fanout.check tasks in
-      let dpor = Litmus_fanout.check ~dpor:true tasks in
-      let dpor_par =
-        Tbtso_par.Pool.with_pool ~domains:2 (fun pool ->
-            Litmus_fanout.check ~pool ~dpor:true tasks)
-      in
-      check_bool "--dpor ≡ sleep-set-only verdicts" true
-        (signature plain = signature dpor);
-      check_bool "--dpor -j 2 ≡ --dpor sequential" true
-        (signature dpor = signature dpor_par)
+           seq)
 
 let test_sat_stats_exposed () =
   let r = Axiomatic.explore ~mode:(M_tbtso 4) sb in
@@ -1007,7 +946,23 @@ let test_parse_errors () =
     (check_parse_error "thread\n load x -> r9\nexists x = 1\n");
   check_bool "orphan instruction" true (check_parse_error "store x 1\nexists x = 1\n");
   check_bool "duplicate condition" true
-    (check_parse_error "thread\n store x 1\nexists x = 1\nexists x = 1\n")
+    (check_parse_error "thread\n store x 1\nexists x = 1\nexists x = 1\n");
+  check_bool "negative wait" true
+    (check_parse_error "thread\n wait -3\nexists x = 0\n");
+  check_bool "negative skip" true
+    (check_parse_error "thread\n loadeq x 0 skip -1\nexists x = 0\n");
+  check_bool "condition names a missing thread" true
+    (check_parse_error "thread\n load x -> r0\nforall 3:r0 = 0\n");
+  (* The error carries the offending line, so the CLI can point at it. *)
+  let line_of text =
+    match Litmus_parse.parse text with
+    | _ -> None
+    | exception Litmus_parse.Parse_error { line; _ } -> Some line
+  in
+  check_bool "wait error on its line" true
+    (line_of "thread\n store x 1\n wait -3\nexists x = 0\n" = Some 3);
+  check_bool "thread error on the condition line" true
+    (line_of "thread\n load x -> r0\n\nforall 1:r0 = 0\n" = Some 4)
 
 let test_mode_of_string () =
   let ok s =
@@ -1179,13 +1134,6 @@ let () =
           Alcotest.test_case "arena growth is invisible" `Quick
             test_arena_growth_stress;
         ] );
-      ( "dpor",
-        [
-          Alcotest.test_case "IRIW reduction ≤ 50% with same outcomes" `Quick
-            test_dpor_reduces_iriw;
-          Alcotest.test_case "wakeup-tree insert/subsume/take" `Quick
-            test_wut_insert_subsume;
-        ] );
       ( "parser",
         [
           Alcotest.test_case "roundtrip" `Quick test_parse_roundtrip;
@@ -1202,8 +1150,8 @@ let () =
         [
           Alcotest.test_case "litmus/gen ≡ all oracles, every mode" `Quick
             test_gen_corpus_matches_oracles;
-          Alcotest.test_case "litmus/gen fanout: -j 2 and --dpor" `Quick
-            test_gen_corpus_fanout_parallel_dpor;
+          Alcotest.test_case "litmus/gen fanout: pooled ≡ sequential" `Quick
+            test_gen_corpus_fanout_parallel;
         ] );
       ( "sat-oracle",
         [
@@ -1217,15 +1165,19 @@ let () =
           Alcotest.test_case "adviser verdicts vs explorer" `Quick
             test_adviser_verdicts;
         ] );
-      qsuite "differential"
-        [
-          prop_new_equals_reference;
-          prop_dpor_equals_reference;
-          prop_pooled_differential;
-          prop_sat_equals_explorer;
-          prop_pooled_sat_differential;
-          prop_packed_key_partition;
-        ];
+      ( "differential",
+        List.map QCheck_alcotest.to_alcotest
+          [
+            prop_new_equals_reference;
+            prop_pooled_differential;
+            prop_sat_equals_explorer;
+            prop_pooled_sat_differential;
+            prop_packed_key_partition;
+          ]
+        @ [
+            Alcotest.test_case "fixed programs: SAT ≡ explore ≡ reference"
+              `Quick test_fixed_programs_match_oracles;
+          ] );
       qsuite "properties"
         [
           prop_sc_subset_tbtso;

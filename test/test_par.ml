@@ -232,8 +232,8 @@ let test_oracle_both_corpus () =
         (Litmus_fanout.exit_code seq_verdicts);
       (match seq_doc with
       | Json.Obj fields ->
-          check_bool "sat runs use schema tbtso-sat/2" true
-            (List.assoc_opt "schema" fields = Some (Json.String "tbtso-sat/2"))
+          check_bool "sat runs use schema tbtso-sat/3" true
+            (List.assoc_opt "schema" fields = Some (Json.String "tbtso-sat/3"))
       | _ -> Alcotest.fail "json_doc not an object");
       Alcotest.(check string)
         "both-oracle JSON byte-identical seq vs par"
@@ -253,30 +253,23 @@ let iriw_prog =
 (* Forcing a tiny per-task budget makes the parallel path actually
    hand frontier segments between domains (IRIW under TBTSO[4] visits
    hundreds of states); the outcome list must stay byte-identical to
-   the sequential exploration, with or without DPOR. *)
+   the sequential exploration. *)
 let test_forced_steal_outcomes () =
   Pool.with_pool ~domains:2 (fun pool ->
       List.iter
         (fun (mn, mode) ->
-          List.iter
-            (fun dpor ->
-              let seq = Litmus.explore ~mode iriw_prog in
-              let par =
-                Litmus.explore ~mode ~dpor ~pool ~task_budget:64 iriw_prog
-              in
-              check_bool
-                (Printf.sprintf "%s dpor=%b outcomes byte-identical" mn dpor)
-                true
-                (par.Litmus.outcomes = seq.Litmus.outcomes);
-              check_bool
-                (Printf.sprintf "%s dpor=%b complete" mn dpor)
-                true par.Litmus.complete;
-              if mode = Litmus.M_tbtso 4 then
-                check_bool
-                  (Printf.sprintf "%s dpor=%b steals exercised" mn dpor)
-                  true
-                  (par.Litmus.stats.Litmus.frontier_steals > 0))
-            [ false; true ])
+          let seq = Litmus.explore ~mode iriw_prog in
+          let par = Litmus.explore ~mode ~pool ~task_budget:64 iriw_prog in
+          check_bool
+            (Printf.sprintf "%s outcomes byte-identical" mn)
+            true
+            (par.Litmus.outcomes = seq.Litmus.outcomes);
+          check_bool (Printf.sprintf "%s complete" mn) true par.Litmus.complete;
+          if mode = Litmus.M_tbtso 4 then
+            check_bool
+              (Printf.sprintf "%s steals exercised" mn)
+              true
+              (par.Litmus.stats.Litmus.frontier_steals > 0))
         [
           ("sc", Litmus.M_sc);
           ("tso", Litmus.M_tso);
