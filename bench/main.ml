@@ -5,7 +5,7 @@
    target. See EXPERIMENTS.md for paper-vs-measured notes.
 
    Usage: main.exe [EXPERIMENT]... [--paper] [--seed N] [--csv DIR]
-                   [--json PATH] [--trace PATH] [--profile PATH]
+                   [--json PATH] [--trace PATH] [--profile PATH] [-j N]
    Default runs every experiment at quick scale. --json writes every
    experiment's data series (and the residency histograms) as one
    machine-readable document; --trace writes a Chrome trace_event
@@ -13,7 +13,8 @@
    --profile writes a Chrome trace of the harness's own spans (one
    per experiment, pool chunks on their domain tracks) plus a phase
    table — the simulated-time --trace and the wall-clock --profile
-   are different clocks on purpose. *)
+   are different clocks on purpose. An unknown option, a missing option
+   value or a non-integer --seed prints usage and exits 2. *)
 
 open Tsim
 open Tbtso_workload
@@ -951,58 +952,62 @@ let experiments =
 let usage () =
   pf
     "usage: main.exe [EXPERIMENT]... [--paper] [--seed N] [--csv DIR] \
-     [--json PATH] [--trace PATH] [-j N]\nexperiments:\n";
+     [--json PATH] [--trace PATH] [--profile PATH] [-j N]\nexperiments:\n";
   List.iter (fun (n, d, _) -> pf "  %-12s %s\n" n d) experiments;
   exit 2
 
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let paper = List.mem "--paper" args in
-  let seed =
-    let rec find = function
-      | "--seed" :: v :: _ -> int_of_string v
-      | _ :: rest -> find rest
-      | [] -> 1
-    in
-    find args
-  in
-  let find_opt flag =
-    let rec find = function
-      | f :: v :: _ when f = flag -> Some v
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
-  in
-  let csv = find_opt "--csv" in
-  let json = find_opt "--json" in
-  let trace = find_opt "--trace" in
-  let profile = find_opt "--profile" in
-  let jobs =
-    match find_opt "-j" with
-    | None -> 1
-    | Some v -> (
-        match int_of_string_opt v with
-        | Some n when n >= 0 -> n
+  let paper = ref false and seed = ref 1 and jobs = ref 1 in
+  let csv = ref None and json = ref None and trace = ref None in
+  let profile = ref None and selected = ref [] in
+  (* Any other argument starting with '-' is a mistake, not a no-op: a
+     misspelt flag must not silently run the default experiments. *)
+  let rec parse = function
+    | [] -> ()
+    | "--paper" :: rest ->
+        paper := true;
+        parse rest
+    | "--seed" :: v :: rest ->
+        (match int_of_string_opt v with
+        | Some n -> seed := n
+        | None ->
+            pf "--seed expects an integer\n";
+            usage ());
+        parse rest
+    | "-j" :: v :: rest ->
+        (match int_of_string_opt v with
+        | Some n when n >= 0 -> jobs := n
         | Some _ | None ->
             pf "-j expects a non-negative integer (0 = auto)\n";
-            exit 2)
+            exit 2);
+        parse rest
+    | "--csv" :: v :: rest ->
+        csv := Some v;
+        parse rest
+    | "--json" :: v :: rest ->
+        json := Some v;
+        parse rest
+    | "--trace" :: v :: rest ->
+        trace := Some v;
+        parse rest
+    | "--profile" :: v :: rest ->
+        profile := Some v;
+        parse rest
+    | [ ("--seed" | "-j" | "--csv" | "--json" | "--trace" | "--profile") as f ]
+      ->
+        pf "%s needs a value\n" f;
+        usage ()
+    | a :: _ when String.length a > 1 && a.[0] = '-' ->
+        pf "unknown option %S\n" a;
+        usage ()
+    | a :: rest ->
+        selected := a :: !selected;
+        parse rest
   in
-  (* Positional args that are experiment names; drop flags and their
-     values. *)
-  let rec positional = function
-    | [] -> []
-    | "--seed" :: _ :: rest
-    | "--csv" :: _ :: rest
-    | "--json" :: _ :: rest
-    | "--trace" :: _ :: rest
-    | "--profile" :: _ :: rest
-    | "-j" :: _ :: rest ->
-        positional rest
-    | a :: rest when String.length a >= 2 && String.sub a 0 2 = "--" -> positional rest
-    | a :: rest -> a :: positional rest
-  in
-  let selected = positional args in
+  parse (List.tl (Array.to_list Sys.argv));
+  let paper = !paper and seed = !seed and jobs = !jobs in
+  let csv = !csv and json = !json and trace = !trace and profile = !profile in
+  let selected = List.rev !selected in
   if List.mem "help" selected then usage ();
   let profiler =
     match profile with

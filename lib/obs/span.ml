@@ -254,23 +254,6 @@ let per_sec pt =
     Some (float_of_int pt.pt_items /. (float_of_int pt.pt_ns *. 1e-9))
   else None
 
-let phases_json t =
-  Json.obj
-    (List.map
-       (fun pt ->
-         ( pt.pt_name,
-           Json.obj
-             [
-               ("ns", Json.Int pt.pt_ns);
-               ("calls", Json.Int pt.pt_calls);
-               ("items", Json.Int pt.pt_items);
-               ( "per_sec",
-                 match per_sec pt with
-                 | Some r -> Json.Float r
-                 | None -> Json.Null );
-             ] ))
-       (phase_totals t))
-
 let pp_phase_table ppf t =
   let totals = phase_totals t in
   if totals <> [] then begin

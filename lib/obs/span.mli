@@ -107,10 +107,6 @@ val reset : t -> unit
     registered). Open spans and open phase sections are dropped too —
     only call between instrumented regions. *)
 
-val phases_json : t -> Json.t
-(** [{label: {ns, calls, items, per_sec?}, ...}] — [per_sec] =
-    items/second, present when items and time are both nonzero. *)
-
 val pp_phase_table : Format.formatter -> t -> unit
 (** Aligned per-phase table: label, total ms, calls, items, items/s. *)
 

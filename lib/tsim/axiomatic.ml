@@ -69,6 +69,7 @@ type session = {
   mutable sc_set : Litmus.outcome list;
   mutable outcomes_total : int;
   mutable elapsed : float;
+  oversize : bool;  (* no formula was built: every query is incomplete *)
 }
 
 let validate programs =
@@ -81,8 +82,23 @@ let validate programs =
       | _ -> ()))
     programs
 
-let session ?(addrs = 4) ?(regs = 4) ?(profiler = Span.disabled) programs =
-  validate programs;
+(* Loadeq path combinations of the program: the [paths] stats field. *)
+let path_combos progs =
+  Array.fold_left
+    (fun acc prog ->
+      let l = Array.length prog in
+      let np = Array.make (l + 1) 0 in
+      np.(l) <- 1;
+      for k = l - 1 downto 0 do
+        np.(k) <-
+          (match prog.(k) with
+          | Litmus.Loadeq (_, _, skip) -> np.(min l (k + 1 + skip)) + np.(k + 1)
+          | _ -> np.(k + 1))
+      done;
+      acc * np.(0))
+    1 progs
+
+let encode ~addrs ~regs ~profiler programs =
   (* The whole formula build is the encode phase; items = clauses
      added. The solver's own propagate / analyze / simplify phases are
      attached through [S.set_profiler] and fill in during queries. *)
@@ -828,23 +844,6 @@ let session ?(addrs = 4) ?(regs = 4) ?(profiler = Span.disabled) programs =
       in
       observables := Ob_mem (a, pairs) :: !observables)
     writes;
-  (* Path combinations now covered inside the single formula. *)
-  let combos =
-    Array.fold_left
-      (fun acc prog ->
-        let l = Array.length prog in
-        let np = Array.make (l + 1) 0 in
-        np.(l) <- 1;
-        for k = l - 1 downto 0 do
-          np.(k) <-
-            (match prog.(k) with
-            | Litmus.Loadeq (_, _, skip) ->
-                np.(min l (k + 1 + skip)) + np.(k + 1)
-            | _ -> np.(k + 1))
-        done;
-        acc * np.(0))
-      1 progs
-  in
   let sess =
     {
       s;
@@ -852,7 +851,7 @@ let session ?(addrs = 4) ?(regs = 4) ?(profiler = Span.disabled) programs =
       addrs;
       regs;
       h;
-      combos;
+      combos = path_combos progs;
       observables = !observables;
       sites;
       delta_act;
@@ -862,11 +861,63 @@ let session ?(addrs = 4) ?(regs = 4) ?(profiler = Span.disabled) programs =
       sc_set = [];
       outcomes_total = 0;
       elapsed = Sys.time () -. t0;
+      oversize = false;
     }
   in
   Span.stop ph_encode;
   Span.items ph_encode (S.n_clauses s);
   sess
+
+(* The order encoding boxes one literal per event per time slot,
+   [events × (H − 1)] of them, and the pairwise constraint families add
+   clauses for every event pair at every slot, so the build's memory
+   grows as [events² × (H − 1)]: about 150 bytes per unit, measured on
+   programs of 4 to 25 events. Past this size the session builds
+   nothing and every enumeration reports incomplete, where the build
+   would take more than ~0.6 GB (a wait of 10^7 racing a load is
+   1.6·10^8 units). The largest formula of the corpus, the tests and
+   the benchmark workloads is ~10^5 units; the flag protocol at the
+   paper's Δ = 50,000 is 3.2·10^6. *)
+let max_formula = 4_000_000
+
+let session ?(addrs = 4) ?(regs = 4) ?(profiler = Span.disabled) programs =
+  validate programs;
+  let progs = Array.of_list (List.map Array.of_list programs) in
+  (* Events and horizon as [encode] counts them. Capping a wait at
+     [max_formula + 1] keeps the sum from overflowing and cannot change
+     the decision: a capped wait alone exceeds the limit. *)
+  let nev, h =
+    Array.fold_left
+      (Array.fold_left (fun (nev, h) op ->
+           match op with
+           | Litmus.Store _ -> (nev + 2, h + 2)
+           | Litmus.Wait d -> (nev + 1, h + 1 + min d (max_formula + 1))
+           | _ -> (nev + 1, h + 1)))
+      (0, 0) progs
+  in
+  (* [events² × (H − 1) > max_formula], without overflowing. *)
+  let oversize = nev > 0 && h - 1 > max_formula / (nev * nev) in
+  if not oversize then encode ~addrs ~regs ~profiler programs
+  else
+    let refused _ = invalid_arg "Axiomatic: formula too large" in
+    {
+      s = S.create ();
+      n = Array.length progs;
+      addrs;
+      regs;
+      h;
+      combos = path_combos progs;
+      observables = [];
+      sites = [];
+      delta_act = refused;
+      cap_act = refused;
+      fence_act = refused;
+      sc_guard = None;
+      sc_set = [];
+      outcomes_total = 0;
+      elapsed = 0.0;
+      oversize = true;
+    }
 
 let horizon sess = sess.h
 let path_combinations sess = sess.combos
@@ -953,6 +1004,8 @@ let session_stats sess =
 let sc_baseline sess =
   match sess.sc_guard with
   | Some q -> (q, sess.sc_set)
+  | None when sess.oversize ->
+      failwith "Axiomatic: SC baseline formula too large"
   | None ->
       let t0 = Sys.time () in
       let q = S.pos (S.new_var sess.s) in
@@ -976,7 +1029,8 @@ let enumerate_session sess ?(fences = []) ?(max_outcomes = default_max_outcomes)
   let t0 = Sys.time () in
   let fence_lits = List.map sess.fence_act fences in
   let outcomes, complete =
-    if mode = Litmus.M_sc && fences = [] && sess.sc_guard <> None then
+    if sess.oversize then ([], false)
+    else if mode = Litmus.M_sc && fences = [] && sess.sc_guard <> None then
       (sess.sc_set, true)
     else begin
       let q = S.pos (S.new_var sess.s) in

@@ -101,8 +101,9 @@ type stats = {
 type result = {
   outcomes : Litmus.outcome list;  (** Deduplicated and sorted. *)
   complete : bool;
-      (** [false] when [max_outcomes] was reached: [outcomes] is then
-          a sound but possibly incomplete set. *)
+      (** [false] when [max_outcomes] was reached, or when the
+          formula was too large to build (see {!session}): [outcomes]
+          is then a sound but possibly incomplete set. *)
   stats : stats;
 }
 
@@ -126,6 +127,14 @@ val session :
     fill the [sat.propagate] / [sat.analyze] / [sat.simplify] phases —
     their item counts are propagations, conflicts and reclaimed
     clauses, giving per-second rates directly from the phase totals.
+
+    A program whose formula would exceed 4·10{^6} units of
+    events² × (H − 1), the measure its memory grows with (~150 bytes
+    per unit), gets no formula: every {!enumerate_session} on it
+    returns [complete = false] with no outcomes, and {!sc_outcomes} and
+    {!robust} raise [Failure]. A wait of 10{^7} racing a load is
+    1.6·10{^8} units; the largest formula of the corpus, the tests and
+    the benchmark workloads is ~10{^5}.
     @raise Invalid_argument on negative [Wait] durations or negative
     [Loadeq] skips (the operational model deadlocks or loops on these;
     no litmus file or generator produces them). *)

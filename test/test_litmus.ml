@@ -757,6 +757,51 @@ let test_sat_partial_and_validation () =
          with Invalid_argument _ -> true))
     [ [ [ Wait (-1) ] ]; [ [ Loadeq (x, 0, -2) ] ] ]
 
+let test_sat_oversize_formula () =
+  (* A wait of 10^7 would need 4·10^7 order-encoding literals before the
+     first clause; the session refuses the formula and reports the query
+     incomplete instead of exhausting memory. The explorer settles the
+     same program exactly. Allocation, unlike wall time, is
+     deterministic: the refusal must cost next to nothing. *)
+  let racing w = [ [ Wait w; Store (x, 1) ]; [ Load (x, r0) ] ] in
+  let p = racing 10_000_000 in
+  let op = explore ~mode:M_tso p in
+  check_bool "explorer complete" true op.complete;
+  (* Memory grows with events² × horizon, not with the ladder alone:
+     four threads of 25 events and a 40k wait need under 10^6 ladder
+     literals but gigabytes of pairwise clauses. *)
+  let wide =
+    List.init 4 (fun t ->
+        (if t = 0 then [ Wait 39_900 ] else [])
+        @ [ Store (x, 1); Load (y, r0); Store (y, 1); Load (x, r1) ])
+  in
+  (* [max_int] must not overflow the size check into a tiny formula. *)
+  List.iter
+    (fun (p, mode) ->
+      let a0 = Gc.allocated_bytes () in
+      let r = Axiomatic.explore ~mode p in
+      let bytes = Gc.allocated_bytes () -. a0 in
+      check_bool
+        (Printf.sprintf "%s: sat incomplete" (Litmus_parse.mode_id mode))
+        false r.Axiomatic.complete;
+      check_bool "no outcomes claimed" true (r.Axiomatic.outcomes = []);
+      check_bool
+        (Printf.sprintf "refusal allocates little (%.0f bytes)" bytes)
+        true (bytes < 1e6))
+    [
+      (p, M_sc);
+      (p, M_tso);
+      (p, M_tbtso 4);
+      (racing max_int, M_tso);
+      (wide, M_tso);
+    ];
+  let sess = Axiomatic.session p in
+  check_bool "robustness query refused" true
+    (try
+       ignore (Axiomatic.robust sess M_tso);
+       false
+     with Failure _ -> true)
+
 let test_session_robustness () =
   (* One session answers every robustness query incrementally. SB's
      threshold: robust through Δ=3 (commit deadlines too tight to hide
@@ -821,13 +866,33 @@ let prop_pooled_sat_differential =
           = List.map (fun mode -> Axiomatic.enumerate ~mode p) sat_corpus_modes))
 
 let test_flag_flat_in_delta () =
-  (* The headline zone-abstraction result (and the CI sweep gate): the
-     explored state count for the flag protocols at Δ = 64 stays within
-     2× of Δ = 4, where the concrete-counter explorer grew linearly. *)
+  (* The headline zone-abstraction result: the explored state count for
+     the flag protocols at Δ = 64 stays within 2× of Δ = 4, where the
+     concrete-counter explorer grew linearly. Both points must be
+     complete — a budget-cut count undercounts the state space, so the
+     ratio would pass vacuously. Every point of the Δ grid is also
+     cross-checked against the SAT oracle: both complete, equal
+     outcome sets. *)
   List.iter
     (fun (name, prog) ->
-      let states d = (explore ~mode:(M_tbtso d) (prog d)).stats.visited in
-      let lo = states 4 and hi = states 64 in
+      let at d =
+        let p = prog d in
+        let r = explore ~mode:(M_tbtso d) p in
+        let sat = Axiomatic.explore ~mode:(M_tbtso d) p in
+        check_bool
+          (Printf.sprintf "%s Δ=%d: both oracles complete" name d)
+          true
+          (r.complete && sat.Axiomatic.complete);
+        check_bool
+          (Printf.sprintf "%s Δ=%d: explorer ≡ SAT oracle" name d)
+          true
+          (r.outcomes = sat.Axiomatic.outcomes);
+        r.stats.visited
+      in
+      let counts =
+        List.map (fun d -> (d, at d)) [ 4; 8; 16; 32; 64; 128; 256; 512 ]
+      in
+      let lo = List.assoc 4 counts and hi = List.assoc 64 counts in
       check_bool
         (Printf.sprintf "%s: states at Δ=64 (%d) ≤ 2× Δ=4 (%d)" name hi lo)
         true
@@ -837,6 +902,45 @@ let test_flag_flat_in_delta () =
       ("flag wait=64", fun _ -> tbtso_flag 64);
       ("flag wait=Δ", fun d -> tbtso_flag d);
     ]
+
+let test_minor_words_per_state () =
+  (* The explorer's allocation ceiling: minor words per visited state
+     over SB / MP / flag / flag3 under SC, TSO and TBTSO[4, 100] stay
+     within 13.72 (the measured baseline) / 0.6 (the tolerance). Unlike
+     states per second, allocation does not depend on machine load, so
+     a breach is a real regression. The first pass is the one measured,
+     as a user's first check would be. *)
+  let z = 2 in
+  let sb = [ [ Store (x, 1); Load (y, 0) ]; [ Store (y, 1); Load (x, 0) ] ] in
+  let mp = [ [ Store (x, 1); Store (y, 1) ]; [ Load (y, 0); Load (x, 1) ] ] in
+  let flag d =
+    [ [ Store (x, 1); Load (y, 0) ];
+      [ Store (y, 1); Fence; Wait d; Load (x, 0) ] ]
+  in
+  let flag3 d = flag d @ [ [ Store (z, 1); Load (x, 2) ] ] in
+  let cases =
+    [ (M_sc, sb); (M_tso, sb); (M_tso, mp) ]
+    @ List.concat_map
+        (fun d ->
+          let m = M_tbtso d in
+          [ (m, sb); (m, mp); (m, flag d); (m, flag3 d) ])
+        [ 4; 100 ]
+  in
+  let states = ref 0 and complete = ref true in
+  let mw0 = Gc.minor_words () in
+  List.iter
+    (fun (mode, p) ->
+      let r = explore ~mode p in
+      complete := !complete && r.complete;
+      states := !states + r.stats.visited)
+    cases;
+  let per_state = (Gc.minor_words () -. mw0) /. float_of_int !states in
+  check_bool "every case complete" true !complete;
+  let ceiling = 13.72 /. 0.6 in
+  check_bool
+    (Printf.sprintf "%.1f minor words/state over %d states ≤ %.2f" per_state
+       !states ceiling)
+    true (per_state <= ceiling)
 
 let test_zone_stats_exposed () =
   (* The wait ≈ Δ race exercises both zone rewrites and all three
@@ -1129,6 +1233,8 @@ let () =
           Alcotest.test_case "corpus ≡ reference, every mode" `Quick
             test_corpus_matches_reference;
           Alcotest.test_case "flag states flat in Δ" `Quick test_flag_flat_in_delta;
+          Alcotest.test_case "minor words per state ceiling" `Quick
+            test_minor_words_per_state;
           Alcotest.test_case "zone stats exposed" `Quick test_zone_stats_exposed;
           Alcotest.test_case "partial result on budget" `Quick test_explore_partial_result;
           Alcotest.test_case "arena growth is invisible" `Quick
@@ -1162,6 +1268,8 @@ let () =
             test_sat_partial_and_validation;
           Alcotest.test_case "session robustness queries" `Quick
             test_session_robustness;
+          Alcotest.test_case "oversize formula is incomplete" `Quick
+            test_sat_oversize_formula;
           Alcotest.test_case "adviser verdicts vs explorer" `Quick
             test_adviser_verdicts;
         ] );

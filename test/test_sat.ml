@@ -221,18 +221,49 @@ let test_incremental_growth () =
 module Ax = Tsim.Axiomatic
 module L = Tsim.Litmus
 
+(* One session answering every query of [modes] against [prog]: its
+   outcome sets must equal a fresh solver's per query. Returns the
+   session's total conflicts and the sum over the fresh solves. *)
+let session_sweep name prog modes =
+  let sess = Ax.session prog in
+  let scratch = ref 0 in
+  List.iter
+    (fun mode ->
+      let ir = Ax.enumerate_session sess mode in
+      let sr = Ax.explore ~mode prog in
+      check_bool (name ^ " both complete") true
+        (ir.Ax.complete && sr.Ax.complete);
+      check_bool
+        (Printf.sprintf "%s %s: incremental = scratch outcome set" name
+           (Tsim.Litmus_parse.mode_id mode))
+        true
+        (ir.Ax.outcomes = sr.Ax.outcomes);
+      scratch := !scratch + sr.Ax.stats.Ax.conflicts)
+    modes;
+  let st = Ax.session_stats sess in
+  (* Learned-clause reuse is observable: the session answered every
+     query (one solve per outcome plus a closing UNSAT each) while
+     keeping one clause database. *)
+  check_bool (name ^ " solves cover all queries") true
+    (st.Ax.solves >= st.Ax.outcomes + List.length modes);
+  (st.Ax.conflicts, !scratch)
+
 (* One long-lived session answering every mode × Δ query must produce
    exactly the outcome sets of a fresh solver per query, and the
    retained learned clauses must make the whole sweep cheaper than the
-   sum of the from-scratch solves. *)
+   sum of the from-scratch solves. The flag protocols over the
+   geometric Δ grid are held to that per program. *)
 let test_session_vs_scratch () =
-  let x = 0 and y = 1 in
+  let x = 0 and y = 1 and z = 2 in
+  let flag w =
+    [ [ L.Store (x, 1); L.Load (y, 0) ];
+      [ L.Store (y, 1); L.Fence; L.Wait w; L.Load (x, 0) ] ]
+  in
   let programs =
     [
       ("sb", [ [ L.Store (x, 1); L.Load (y, 0) ];
                [ L.Store (y, 1); L.Load (x, 0) ] ]);
-      ("flag", [ [ L.Store (x, 1); L.Load (y, 0) ];
-                 [ L.Store (y, 1); L.Fence; L.Wait 4; L.Load (x, 0) ] ]);
+      ("flag", flag 4);
       (* Loadeq exercises the in-formula branch encoding. *)
       ("spin", [ [ L.Store (x, 1) ];
                  [ L.Loadeq (x, 1, 1); L.Store (y, 1); L.Load (x, 1) ] ]);
@@ -241,37 +272,35 @@ let test_session_vs_scratch () =
   let modes =
     (L.M_sc :: L.M_tso :: List.init 8 (fun i -> L.M_tbtso (i + 1)))
   in
-  let incr_total = ref 0 and scratch_total = ref 0 in
-  List.iter
-    (fun (name, prog) ->
-      let sess = Ax.session prog in
-      List.iter
-        (fun mode ->
-          let ir = Ax.enumerate_session sess mode in
-          let sr = Ax.explore ~mode prog in
-          check_bool (name ^ " both complete") true
-            (ir.Ax.complete && sr.Ax.complete);
-          check_bool
-            (Printf.sprintf "%s %s: incremental = scratch outcome set" name
-               (Tsim.Litmus_parse.mode_id mode))
-            true
-            (ir.Ax.outcomes = sr.Ax.outcomes);
-          scratch_total := !scratch_total + sr.Ax.stats.Ax.conflicts)
-        modes;
-      let st = Ax.session_stats sess in
-      incr_total := !incr_total + st.Ax.conflicts;
-      (* Learned-clause reuse is observable: the session answered every
-         query (one solve per outcome plus a closing UNSAT each) while
-         keeping one clause database. *)
-      check_bool (name ^ " solves cover all queries") true
-        (st.Ax.solves >= st.Ax.outcomes + List.length modes))
-    programs;
+  let incr_total, scratch_total =
+    List.fold_left
+      (fun (i, s) (name, prog) ->
+        let i', s' = session_sweep name prog modes in
+        (i + i', s + s'))
+      (0, 0) programs
+  in
   check_bool
     (Printf.sprintf
        "incremental sweep strictly fewer conflicts (%d vs scratch %d)"
-       !incr_total !scratch_total)
+       incr_total scratch_total)
     true
-    (!incr_total < !scratch_total)
+    (incr_total < scratch_total);
+  let grid =
+    List.map (fun d -> L.M_tbtso d) [ 4; 8; 16; 32; 64; 128; 256; 512 ]
+  in
+  List.iter
+    (fun (name, prog) ->
+      let incr, scratch = session_sweep name prog grid in
+      check_bool
+        (Printf.sprintf "%s: Δ grid in strictly fewer conflicts (%d vs %d)"
+           name incr scratch)
+        true (incr < scratch))
+    [
+      ("flag wait=4", flag 4);
+      ("flag wait=64", flag 64);
+      ( "flag3 wait=4",
+        flag 4 @ [ [ L.Store (z, 1); L.Load (x, 2) ] ] );
+    ]
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 

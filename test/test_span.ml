@@ -1,8 +1,7 @@
-(* Tests for the span profiler and the performance-trajectory document:
-   span nesting and per-domain merge (including across the pool's
-   worker domains), phase accumulators, Chrome export, the
-   tbtso-trajectory/1 JSON round-trip, and the differential guarantee
-   that profiling never changes what the engines compute. *)
+(* Tests for the span profiler: span nesting and per-domain merge
+   (including across the pool's worker domains), phase accumulators,
+   Chrome export, and the differential guarantee that profiling never
+   changes what the engines compute. *)
 
 open Tsim
 module Span = Tbtso_obs.Span
@@ -204,161 +203,6 @@ let test_chrome_export () =
       | _ -> Alcotest.fail "not a trace_event document")
 
 (* ------------------------------------------------------------------ *)
-(* tbtso-trajectory/1 round-trip                                       *)
-(* ------------------------------------------------------------------ *)
-
-let traj_gen =
-  QCheck.Gen.(
-    let nat_int = int_bound 1_000_000 in
-    let pos_float = map (fun f -> Float.abs f) (float_bound_exclusive 1e6) in
-    let label = string_size ~gen:(char_range 'a' 'z') (int_range 1 12) in
-    let phase =
-      map3
-        (fun name ns (calls, items) ->
-          {
-            Trajectory.ph_name = name;
-            ph_ns = ns;
-            ph_calls = calls;
-            ph_items = items;
-          })
-        label nat_int (pair nat_int nat_int)
-    in
-    map2
-      (fun (label, fingerprint, cases, phases)
-           ((states, e_s, mw), (props, confl, s_s), (ws, doms, complete)) ->
-        {
-          Trajectory.label;
-          host_ocaml = Sys.ocaml_version;
-          host_os = Sys.os_type;
-          host_word_size = ws;
-          host_domains = doms;
-          corpus_fingerprint = fingerprint;
-          corpus_cases = cases;
-          explorer_states = states;
-          explorer_elapsed_s = e_s;
-          minor_words_per_state = mw;
-          solver_propagations = props;
-          solver_conflicts = confl;
-          solver_elapsed_s = s_s;
-          phases;
-          complete;
-        })
-      (quad label label (list_size (int_range 0 6) label)
-         (list_size (int_range 0 5) phase))
-      (triple
-         (triple nat_int pos_float pos_float)
-         (triple nat_int nat_int pos_float)
-         (triple (int_range 1 64) (int_range 1 16) bool)))
-
-let traj_arb =
-  QCheck.make
-    ~print:(fun t -> Json.to_string (Trajectory.to_json t))
-    traj_gen
-
-(* The committed BENCH_*.json baselines are read back by the gate, so
-   serialization must be lossless — including exact float round-trips
-   through the text form. *)
-let prop_trajectory_roundtrip =
-  QCheck.Test.make ~count:200
-    ~name:"tbtso-trajectory/1 documents survive to_json/print/parse/of_json"
-    traj_arb
-    (fun t ->
-      match
-        Trajectory.of_json (Json.of_string (Json.to_string (Trajectory.to_json t)))
-      with
-      | Ok t' -> t' = t
-      | Error e -> QCheck.Test.fail_report e)
-
-let test_trajectory_of_json_errors () =
-  let err j =
-    match Trajectory.of_json j with Ok _ -> None | Error e -> Some e
-  in
-  check_bool "non-object rejected" true (err (Json.Int 3) <> None);
-  check_bool "missing schema named" true
-    (err (Json.Obj []) = Some "missing field schema");
-  check_bool "wrong schema rejected" true
-    (err (Json.Obj [ ("schema", Json.String "nope/9") ]) <> None)
-
-let test_trajectory_compare () =
-  let base =
-    {
-      Trajectory.label = "base";
-      host_ocaml = Sys.ocaml_version;
-      host_os = Sys.os_type;
-      host_word_size = 64;
-      host_domains = 1;
-      corpus_fingerprint = "f";
-      corpus_cases = [ "c" ];
-      explorer_states = 1000;
-      explorer_elapsed_s = 1.0;
-      minor_words_per_state = 10.0;
-      solver_propagations = 4000;
-      solver_conflicts = 10;
-      solver_elapsed_s = 1.0;
-      phases = [];
-      complete = true;
-    }
-  in
-  let cmp ?tolerance fresh =
-    Trajectory.compare_floors ?tolerance ~baseline:base ~fresh ()
-  in
-  (match cmp base with
-  | Trajectory.Pass checks ->
-      check_int "two floors and one ceiling" 3 (List.length checks)
-  | _ -> Alcotest.fail "identical measurement must pass");
-  (* Explorer throughput halves: passes at the default 0.5 tolerance,
-     fails at 0.9. *)
-  let slower = { base with Trajectory.explorer_elapsed_s = 2.0 } in
-  (match cmp slower with
-  | Trajectory.Pass _ -> ()
-  | _ -> Alcotest.fail "0.5x must pass the default tolerance");
-  (match cmp ~tolerance:0.9 slower with
-  | Trajectory.Fail checks ->
-      check_bool "explorer floor failed" true
-        (List.exists
-           (fun (c : Trajectory.check) ->
-             c.Trajectory.key = "explorer.states_per_sec"
-             && not c.Trajectory.pass)
-           checks);
-      check_bool "solver floor still ok" true
-        (List.exists
-           (fun (c : Trajectory.check) ->
-             c.Trajectory.key = "solver.propagations_per_sec"
-             && c.Trajectory.pass)
-           checks)
-  | _ -> Alcotest.fail "0.5x must fail a 0.9 tolerance");
-  (* GC ceiling: allocation per state may double at the default 0.5
-     tolerance (bound = baseline / tolerance) but not more; throughput
-     floors are unaffected by an allocation-only change. *)
-  let leaky = { base with Trajectory.minor_words_per_state = 19.9 } in
-  (match cmp leaky with
-  | Trajectory.Pass _ -> ()
-  | _ -> Alcotest.fail "2x allocation must pass the default tolerance");
-  let leakier = { base with Trajectory.minor_words_per_state = 20.1 } in
-  (match cmp leakier with
-  | Trajectory.Fail checks ->
-      check_bool "gc ceiling failed" true
-        (List.exists
-           (fun (c : Trajectory.check) ->
-             c.Trajectory.key = "explorer.minor_words_per_state"
-             && c.Trajectory.direction = Trajectory.Ceiling
-             && not c.Trajectory.pass)
-           checks);
-      check_bool "floors still ok" true
-        (List.for_all
-           (fun (c : Trajectory.check) ->
-             c.Trajectory.direction <> Trajectory.Floor || c.Trajectory.pass)
-           checks)
-  | _ -> Alcotest.fail ">2x allocation must fail the default tolerance");
-  (* No verdict across corpora or from budget-cut measurements. *)
-  (match cmp { base with Trajectory.corpus_fingerprint = "g" } with
-  | Trajectory.Inconclusive _ -> ()
-  | _ -> Alcotest.fail "fingerprint mismatch must be inconclusive");
-  match cmp { base with Trajectory.complete = false } with
-  | Trajectory.Inconclusive _ -> ()
-  | _ -> Alcotest.fail "budget-cut measurement must be inconclusive"
-
-(* ------------------------------------------------------------------ *)
 (* Differential: profiling never changes what the engines compute      *)
 (* ------------------------------------------------------------------ *)
 
@@ -410,13 +254,6 @@ let () =
           Alcotest.test_case "cross-domain merge via pool" `Quick
             test_cross_domain_merge;
           Alcotest.test_case "chrome export" `Quick test_chrome_export;
-        ] );
-      ( "trajectory",
-        [
-          QCheck_alcotest.to_alcotest prop_trajectory_roundtrip;
-          Alcotest.test_case "of_json errors" `Quick
-            test_trajectory_of_json_errors;
-          Alcotest.test_case "compare floors" `Quick test_trajectory_compare;
         ] );
       ( "differential",
         [
