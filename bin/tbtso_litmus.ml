@@ -34,14 +34,13 @@ let report_one (v : Litmus_fanout.verdict) =
         sc.Litmus_fanout.sat_stats
   | None -> ());
   (match v.robustness with
-  | Some rc ->
-      if rc.Litmus_fanout.robust_holds then
-        Printf.printf "  %-12s robust (outcome set = SC)\n" ""
-      else (
-        Printf.printf "  %-12s NOT robust (outcome beyond SC)\n" "";
-        match rc.Litmus_fanout.robust_witness with
-        | Some o -> Format.printf "  %-12s beyond-SC %a@." "" Litmus.pp_outcome o
-        | None -> ())
+  | Some Litmus_fanout.Robust ->
+      Printf.printf "  %-12s robust (outcome set = SC)\n" ""
+  | Some (Litmus_fanout.Not_robust o) ->
+      Printf.printf "  %-12s NOT robust (outcome beyond SC)\n" "";
+      Format.printf "  %-12s beyond-SC %a@." "" Litmus.pp_outcome o
+  | Some (Litmus_fanout.Robust_inconclusive m) ->
+      Printf.printf "  %-12s robustness INCONCLUSIVE (%s)\n" "" m
   | None -> ());
   match Litmus_fanout.disagreement_witness v with
   | Some o ->
@@ -178,8 +177,10 @@ let robust_arg =
      second enumeration) and reported per record (with a beyond-SC witness \
      outcome when not robust). All modes of one file share a single SAT \
      session — the encode and the SC baseline are built once per file and \
-     each further mode costs only its containment query. Advisory: never \
-     changes the verdict or exit code. See $(b,tbtso-litmus advise) for \
+     each further mode costs only its containment query. Advisory: a \
+     decided answer never changes the verdict or exit code; a query the \
+     SAT oracle cannot decide (its formula exceeds the size budget) is \
+     reported INCONCLUSIVE and exits 2. See $(b,tbtso-litmus advise) for \
      the full minimal-Δ / minimal-fence-set search."
   in
   Arg.(value & flag & info [ "robust" ] ~doc)
@@ -205,8 +206,9 @@ let check_exits =
   :: Cmd.Exit.info 2
        ~doc:
          "some check was INCONCLUSIVE: the state budget was exceeded before \
-          a definitive verdict (raise $(b,--max-states)). A violation \
-          anywhere in the run dominates and exits 1."
+          a definitive verdict (raise $(b,--max-states)), or a SAT formula \
+          exceeded its size budget. A violation anywhere in the run \
+          dominates and exits 1."
   :: Cmd.Exit.info 3
        ~doc:
          "the two oracles of $(b,--oracle both) DISAGREED on some exact \
@@ -295,9 +297,11 @@ let check_cmd =
 
 let report_advice (r : Adviser.report) =
   Printf.printf "%s (%s):\n" r.Adviser.name r.Adviser.file;
-  Printf.printf "  horizon H=%d, %d SC outcome%s\n" r.Adviser.horizon
-    r.Adviser.sc_count
-    (if r.Adviser.sc_count = 1 then "" else "s");
+  (match r.Adviser.sc_count with
+  | Some n ->
+      Printf.printf "  horizon H=%d, %d SC outcome%s\n" r.Adviser.horizon n
+        (if n = 1 then "" else "s")
+  | None -> Printf.printf "  horizon H=%d\n" r.Adviser.horizon);
   Printf.printf "  verdict: %s\n" (Adviser.verdict_string r.Adviser.verdict);
   (match r.Adviser.witness with
   | Some o -> Format.printf "  beyond-SC witness %a@." Litmus.pp_outcome o
@@ -334,9 +338,9 @@ let verify_arg =
 let advise_exits =
   Cmd.Exit.info 2
     ~doc:
-      "some $(b,--verify) cross-check was inconclusive: the explorer hit \
-       its state budget before confirming the verdict (raise \
-       $(b,--max-states))."
+      "some verdict was INCONCLUSIVE: the SAT formula exceeded its size \
+       budget, or a $(b,--verify) cross-check hit the explorer's state \
+       budget before confirming the verdict (raise $(b,--max-states))."
   :: Cmd.Exit.info 3
        ~doc:
          "the explorer CONTRADICTED an adviser verdict under $(b,--verify) \

@@ -10,6 +10,7 @@ type verdict =
   | Always_robust
   | Breaks_at of { max_robust : int; min_unsafe : int }
   | Never_robust
+  | Unknown of string
 
 type fence_advice =
   | No_fences_needed
@@ -22,7 +23,7 @@ type report = {
   file : string;
   name : string;
   horizon : int;
-  sc_count : int;
+  sc_count : int option;
   verdict : verdict;
   witness : Litmus.outcome option;
   fence : fence_advice option;
@@ -30,19 +31,25 @@ type report = {
   confirmation : confirmation option;
 }
 
+(* Incompleteness is a property of the session (its SC baseline), so
+   only a session's first query can meet it; [minimal_delta] asks first
+   and reports it. *)
 let is_robust sess ?fences mode =
   match Axiomatic.robust sess ?fences mode with
   | `Robust -> true
   | `Witness _ -> false
+  | `Incomplete m -> failwith m
 
 (* Largest robust Δ by binary search over the activation grid.
    Robustness is antitone in Δ (TBTSO[Δ] ⊆ TBTSO[Δ+1] and both contain
    SC), and TBTSO[Δ ≥ H] ≡ TSO, so the search space is [1, H]. *)
 let minimal_delta sess =
   match Axiomatic.robust sess Litmus.M_tso with
+  | `Incomplete m -> (Unknown m, None)
   | `Robust -> (Always_robust, None)
   | `Witness w -> (
       match Axiomatic.robust sess (Litmus.M_tbtso 1) with
+      | `Incomplete m -> (Unknown m, None)
       | `Witness w1 -> (Never_robust, Some w1)
       | `Robust ->
           (* invariant: robust at lo, not robust at hi (hi ≥ H ≡ TSO) *)
@@ -55,7 +62,7 @@ let minimal_delta sess =
           let w =
             match Axiomatic.robust sess (Litmus.M_tbtso !hi) with
             | `Witness w -> w
-            | `Robust -> w
+            | `Robust | `Incomplete _ -> w
           in
           (Breaks_at { max_robust = !lo; min_unsafe = !hi }, Some w))
 
@@ -109,6 +116,7 @@ let confirm ?max_states program verdict =
         | bad :: _ -> bad
       in
       match verdict with
+      | Unknown m -> Inconclusive m
       | Always_robust -> check Litmus.M_tso ~want_equal:true sc
       | Never_robust -> check (Litmus.M_tbtso 1) ~want_equal:false sc
       | Breaks_at { max_robust; min_unsafe } ->
@@ -125,15 +133,17 @@ let advise ?(fences = false) ?(verify = false) ?max_states
     Span.with_span profiler "advise.binary_search" (fun () ->
         minimal_delta sess)
   in
+  (* An undecided verdict leaves nothing to search or confirm. *)
+  let decided = match verdict with Unknown _ -> false | _ -> true in
   let fence =
-    if fences then
+    if fences && decided then
       Some
         (Span.with_span profiler "advise.fence_set" (fun () ->
              minimal_fences sess))
     else None
   in
   let confirmation =
-    if verify then
+    if verify && decided then
       Some
         (Span.with_span profiler "advise.confirm" (fun () ->
              confirm ?max_states test.Litmus_parse.program verdict))
@@ -143,7 +153,8 @@ let advise ?(fences = false) ?(verify = false) ?max_states
     file;
     name = test.Litmus_parse.name;
     horizon = Axiomatic.horizon sess;
-    sc_count = List.length (Axiomatic.sc_outcomes sess);
+    sc_count =
+      (if decided then Some (List.length (Axiomatic.sc_outcomes sess)) else None);
     verdict;
     witness;
     fence;
@@ -156,6 +167,7 @@ let verdict_string = function
   | Breaks_at { max_robust; min_unsafe } ->
       Printf.sprintf "robust up to Δ=%d, breaks at Δ=%d" max_robust min_unsafe
   | Never_robust -> "never robust"
+  | Unknown m -> Printf.sprintf "INCONCLUSIVE (%s)" m
 
 let fence_string = function
   | No_fences_needed -> "no fences needed"
@@ -194,6 +206,7 @@ let report_json r =
           ("min_unsafe_delta", Json.Int min_unsafe);
         ]
     | Never_robust -> [ ("robust", Json.String "never") ]
+    | Unknown m -> [ ("robust", Json.Null); ("inconclusive", Json.String m) ]
   in
   let fence_fields =
     match r.fence with
@@ -229,7 +242,8 @@ let report_json r =
        ("file", Json.String r.file);
        ("name", Json.String r.name);
        ("horizon", Json.Int r.horizon);
-       ("sc_outcomes", Json.Int r.sc_count);
+       ( "sc_outcomes",
+         match r.sc_count with Some n -> Json.Int n | None -> Json.Null );
        ("verdict", Json.String (verdict_string r.verdict));
      ]
     @ verdict_fields
@@ -248,13 +262,13 @@ let json_doc ~registry reports =
     ]
 
 (* Exit-code policy, mirroring tbtso-litmus check: 3 for a proven
-   adviser/explorer mismatch, 2 for an inconclusive cross-check, 0
-   otherwise. *)
+   adviser/explorer mismatch, 2 for an undecided verdict or an
+   inconclusive cross-check, 0 otherwise. *)
 let exit_code reports =
   List.fold_left
     (fun code r ->
-      match r.confirmation with
-      | Some (Mismatch _) -> 3
-      | Some (Inconclusive _) -> if code = 3 then code else 2
+      match (r.verdict, r.confirmation) with
+      | _, Some (Mismatch _) -> 3
+      | Unknown _, _ | _, Some (Inconclusive _) -> if code = 3 then code else 2
       | _ -> code)
     0 reports

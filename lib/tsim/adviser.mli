@@ -34,6 +34,10 @@ type verdict =
   | Never_robust
       (** Not robust even at Δ = 1. Unreachable in this model (TBTSO[1]
           is observationally SC) but kept so the schema is total. *)
+  | Unknown of string
+      (** Undecided: the SAT oracle could not build the SC baseline
+          ({!Axiomatic.robust}'s [`Incomplete]); the message names the
+          budget that refused it. *)
 
 type fence_advice =
   | No_fences_needed  (** Already TSO-robust. *)
@@ -52,21 +56,28 @@ type report = {
   file : string;
   name : string;
   horizon : int;
-  sc_count : int;  (** Size of the SC outcome set. *)
+  sc_count : int option;
+      (** Size of the SC outcome set; [None] when the verdict is
+          {!Unknown}. *)
   verdict : verdict;
   witness : Litmus.outcome option;
       (** An outcome beyond SC at [min_unsafe] (TSO for
-          [Never_robust]); [None] iff [Always_robust]. *)
-  fence : fence_advice option;  (** Present when fences were requested. *)
+          [Never_robust]); [None] iff [Always_robust] or [Unknown]. *)
+  fence : fence_advice option;
+      (** Present when fences were requested and the verdict is not
+          {!Unknown}. *)
   stats : Axiomatic.stats;  (** The session's cumulative solver stats. *)
   confirmation : confirmation option;
-      (** Present when explorer verification was requested. *)
+      (** Present when explorer verification was requested and the
+          verdict is not {!Unknown}. *)
 }
 
 val minimal_delta :
   Axiomatic.session -> verdict * Litmus.outcome option
 
 val minimal_fences : Axiomatic.session -> fence_advice
+(** @raise Failure when the session's robustness queries are
+    [`Incomplete] ({!minimal_delta} reports that as {!Unknown}). *)
 
 val confirm :
   ?max_states:int -> Litmus.instr list list -> verdict -> confirmation
@@ -98,5 +109,5 @@ val json_doc : registry:Tbtso_obs.Metrics.t -> report list -> Tbtso_obs.Json.t
 (** The [tbtso-advise/1] document: [schema], [results], [totals]. *)
 
 val exit_code : report list -> int
-(** 3 if any report's confirmation is a {!Mismatch}, else 2 if any is
-    {!Inconclusive}, else 0. *)
+(** 3 if any report's confirmation is a {!Mismatch}, else 2 if any
+    verdict is {!Unknown} or any confirmation {!Inconclusive}, else 0. *)

@@ -998,14 +998,22 @@ let stats_of sess ~outcomes ~elapsed =
 let session_stats sess =
   stats_of sess ~outcomes:sess.outcomes_total ~elapsed:sess.elapsed
 
+let formula_budget_message =
+  Printf.sprintf
+    "SAT formula exceeds the size budget of %d units of events² × (H − 1)"
+    max_formula
+
+let sc_budget_message =
+  Printf.sprintf "SC baseline exceeds the outcome budget of %d outcomes"
+    default_max_outcomes
+
 (* The SC outcome set is the robustness baseline: enumerated once, its
    blocking clauses stay behind a guard literal that later containment
-   queries re-assume. *)
+   queries re-assume. [Error] names the budget that refused it. *)
 let sc_baseline sess =
   match sess.sc_guard with
-  | Some q -> (q, sess.sc_set)
-  | None when sess.oversize ->
-      failwith "Axiomatic: SC baseline formula too large"
+  | Some q -> Ok (q, sess.sc_set)
+  | None when sess.oversize -> Error formula_budget_message
   | None ->
       let t0 = Sys.time () in
       let q = S.pos (S.new_var sess.s) in
@@ -1014,15 +1022,17 @@ let sc_baseline sess =
           ~assumptions:(mode_assumptions sess Litmus.M_sc)
           ~guard:q ~max_outcomes:default_max_outcomes
       in
-      if not complete then
-        failwith "Axiomatic: SC baseline outcome budget exhausted";
-      sess.sc_guard <- Some q;
-      sess.sc_set <- outcomes;
-      sess.outcomes_total <- sess.outcomes_total + List.length outcomes;
       sess.elapsed <- sess.elapsed +. (Sys.time () -. t0);
-      (q, outcomes)
+      if not complete then Error sc_budget_message
+      else begin
+        sess.sc_guard <- Some q;
+        sess.sc_set <- outcomes;
+        sess.outcomes_total <- sess.outcomes_total + List.length outcomes;
+        Ok (q, outcomes)
+      end
 
-let sc_outcomes sess = snd (sc_baseline sess)
+let sc_outcomes sess =
+  match sc_baseline sess with Ok (_, set) -> set | Error m -> failwith m
 
 let enumerate_session sess ?(fences = []) ?(max_outcomes = default_max_outcomes)
     mode =
@@ -1058,16 +1068,18 @@ let enumerate_session sess ?(fences = []) ?(max_outcomes = default_max_outcomes)
   }
 
 let robust sess ?(fences = []) mode =
-  let t0 = Sys.time () in
-  let q_sc, _ = sc_baseline sess in
-  let assumptions =
-    (q_sc :: mode_assumptions sess mode) @ List.map sess.fence_act fences
-  in
-  let r =
-    if S.solve ~assumptions sess.s then `Witness (extract sess) else `Robust
-  in
-  sess.elapsed <- sess.elapsed +. (Sys.time () -. t0);
-  r
+  match sc_baseline sess with
+  | Error m -> `Incomplete m
+  | Ok (q_sc, _) ->
+      let t0 = Sys.time () in
+      let assumptions =
+        (q_sc :: mode_assumptions sess mode) @ List.map sess.fence_act fences
+      in
+      let r =
+        if S.solve ~assumptions sess.s then `Witness (extract sess) else `Robust
+      in
+      sess.elapsed <- sess.elapsed +. (Sys.time () -. t0);
+      r
 
 let explore ~mode ?(addrs = 4) ?(regs = 4)
     ?(max_outcomes = default_max_outcomes) ?profiler programs =

@@ -131,8 +131,8 @@ val session :
     A program whose formula would exceed 4·10{^6} units of
     events² × (H − 1), the measure its memory grows with (~150 bytes
     per unit), gets no formula: every {!enumerate_session} on it
-    returns [complete = false] with no outcomes, and {!sc_outcomes} and
-    {!robust} raise [Failure]. A wait of 10{^7} racing a load is
+    returns [complete = false] with no outcomes, {!robust} answers
+    [`Incomplete], and {!sc_outcomes} raises [Failure]. A wait of 10{^7} racing a load is
     1.6·10{^8} units; the largest formula of the corpus, the tests and
     the benchmark workloads is ~10{^5}.
     @raise Invalid_argument on negative [Wait] durations or negative
@@ -167,19 +167,26 @@ val enumerate_session :
 
 val sc_outcomes : session -> Litmus.outcome list
 (** The SC outcome set (enumerated on first use, then cached — its
-    blocking clauses persist behind a guard for {!robust}). *)
+    blocking clauses persist behind a guard for {!robust}).
+    @raise Failure, with {!robust}'s [`Incomplete] message, when the
+    baseline cannot be built. *)
 
 val robust :
   session ->
   ?fences:(int * int) list ->
   Litmus.mode ->
-  [ `Robust | `Witness of Litmus.outcome ]
+  [ `Robust | `Witness of Litmus.outcome | `Incomplete of string ]
 (** Is the mode's outcome set (with the given fences) equal to the SC
     set? Decided by one incremental containment solve against the SC
     baseline's retained blocking clauses — no second enumeration.
     [`Witness o] is an outcome reachable under the mode but not under
     SC. Robustness is antitone in Δ: [`Robust] for [M_tbtso Δ] implies
-    [`Robust] for every smaller Δ. *)
+    [`Robust] for every smaller Δ.
+
+    [`Incomplete reason] when the SC baseline cannot be built: the
+    formula exceeds the size budget (see {!session}) or the SC set
+    exceeds {!default_max_outcomes}. [reason] names the budget. The
+    answer is per session: once one query is decided, all are. *)
 
 val session_stats : session -> stats
 (** Cumulative over the session: [outcomes] sums every query's distinct

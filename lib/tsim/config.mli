@@ -53,7 +53,9 @@ type t = {
   consistency : consistency;
   costs : costs;
   drain : drain_dist;
-  mem_words : int;  (** Size of simulated memory in words. *)
+  mem_words : int;
+      (** Size of simulated memory in words: a bound on the addresses,
+          not a footprint (see {!Memory}). *)
   cache_bits : int;  (** log2 of per-thread direct-mapped cache entries. *)
   detect_uaf : bool;  (** Raise on access to freed heap words. *)
   interrupt_period : int option;

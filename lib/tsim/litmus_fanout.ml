@@ -11,10 +11,10 @@ type sat_check = {
   sat_stats : Axiomatic.stats;
 }
 
-type robust_check = {
-  robust_holds : bool;
-  robust_witness : Litmus.outcome option;
-}
+type robust_check =
+  | Robust
+  | Not_robust of Litmus.outcome
+  | Robust_inconclusive of string
 
 type verdict = {
   task : task;
@@ -53,8 +53,9 @@ let sat_of test (r : Axiomatic.result) =
    learned clauses included — instead of a full re-encode. *)
 let robust_of sess mode =
   match Axiomatic.robust sess mode with
-  | `Robust -> { robust_holds = true; robust_witness = None }
-  | `Witness w -> { robust_holds = false; robust_witness = Some w }
+  | `Robust -> Robust
+  | `Witness w -> Not_robust w
+  | `Incomplete m -> Robust_inconclusive m
 
 let check ?pool ?max_states ?(oracle = Explorer)
     ?(profiler = Tbtso_obs.Span.disabled) ?(robust = false) tasks =
@@ -223,7 +224,10 @@ let severity v =
   else
     let q = v.task.test.Litmus_parse.quantifier in
     let sides =
-      (match v.result with
+      (match v.robustness with
+      | Some (Robust_inconclusive _) -> [ `Inconclusive ]
+      | Some (Robust | Not_robust _) | None -> [])
+      @ (match v.result with
       | Some r ->
           [ severity_of q ~complete:r.Litmus_parse.complete ~holds:r.Litmus_parse.holds ]
       | None -> [])
@@ -307,11 +311,12 @@ let record v =
         [
           ( "robust",
             Json.obj
-              (("holds", Json.Bool rc.robust_holds)
-              ::
-              (match rc.robust_witness with
-              | Some w -> [ ("witness", Adviser.outcome_json w) ]
-              | None -> [])) );
+              (match rc with
+              | Robust -> [ ("holds", Json.Bool true) ]
+              | Not_robust w ->
+                  [ ("holds", Json.Bool false); ("witness", Adviser.outcome_json w) ]
+              | Robust_inconclusive m ->
+                  [ ("holds", Json.Null); ("inconclusive", Json.String m) ]) );
         ]
   in
   let agree_fields =

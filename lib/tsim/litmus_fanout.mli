@@ -36,14 +36,14 @@ type sat_check = {
   sat_stats : Axiomatic.stats;
 }
 
-type robust_check = {
-  robust_holds : bool;
-      (** The mode's outcome set equals the SC set (SC-robustness,
-          decided by {!Axiomatic.robust}). *)
-  robust_witness : Litmus.outcome option;
-      (** An outcome reachable under the mode but not under SC;
-          [None] iff [robust_holds]. *)
-}
+(** SC-robustness of a mode, decided by {!Axiomatic.robust}. *)
+type robust_check =
+  | Robust  (** The mode's outcome set equals the SC set. *)
+  | Not_robust of Litmus.outcome
+      (** An outcome reachable under the mode but not under SC. *)
+  | Robust_inconclusive of string
+      (** The SAT oracle could not build the SC baseline; the message
+          names the budget that refused it. *)
 
 type verdict = {
   task : task;
@@ -58,7 +58,9 @@ type verdict = {
           provable — which is agreement when both sides are complete. *)
   robustness : robust_check option;
       (** Present when [check ~robust:true]: SC-robustness of the
-          task's mode, advisory (does not affect {!severity}). *)
+          task's mode. Advisory: a decided answer does not affect
+          {!severity}; [Robust_inconclusive] makes it at least
+          [`Inconclusive]. *)
 }
 
 val load : modes:Litmus.mode list -> string list -> task list
@@ -108,7 +110,8 @@ val severity : verdict -> [ `Ok | `Violated | `Inconclusive | `Disagree ]
 (** [`Disagree] dominates everything; otherwise the worst of the
     oracles that ran: [`Violated] for a complete [forall] check that
     does not hold; [`Inconclusive] for any budget-exhausted check whose
-    answer is not already definitive (a found [exists] witness is). *)
+    answer is not already definitive (a found [exists] witness is), or
+    a robustness query the SAT oracle could not decide. *)
 
 val exit_code : verdict list -> int
 (** CI gate over a whole run: 3 if any verdict is [`Disagree] (an

@@ -4,16 +4,19 @@ exception Thread_failure of { tid : int; exn : exn }
 
 exception Deadlock of string
 
+(* A thread's pending instruction. Its operands sit in the thread's
+   [a0]..[a2] fields, so parking an instruction allocates nothing. *)
 type op =
-  | O_load of int
-  | O_store of int * int
-  | O_cas of int * int * int
-  | O_faa of int * int
-  | O_xchg of int * int
+  | O_none
+  | O_load  (* a0 = address *)
+  | O_store  (* a0 = address, a1 = value *)
+  | O_cas  (* a0 = address, a1 = expected, a2 = desired *)
+  | O_faa  (* a0 = address, a1 = addend *)
+  | O_xchg  (* a0 = address, a1 = value *)
   | O_fence
   | O_clock
-  | O_work of int
-  | O_stall_until of int
+  | O_work  (* a0 = ticks *)
+  | O_stall_until  (* a0 = target; negative = relative to now *)
   | O_complete
       (* second phase of work/stall: resumes the thread at ready_at, so
          host code following Sim.work runs when the work has elapsed,
@@ -64,9 +67,12 @@ let kind_index = function D_voluntary -> 0 | D_delta -> 1 | D_interrupt -> 2 | D
 
 type thread = {
   tid : int;
-  mutable pending : op option;
-  mutable resume : int -> unit;
-  mutable abort : unit -> unit;
+  mutable op : op;
+  mutable a0 : int;
+  mutable a1 : int;
+  mutable a2 : int;
+  mutable k : (int, unit) Effect.Deep.continuation;
+      (* the parked thread; resumed only while [op <> O_none] *)
   buf : Store_buffer.t;
   cache : Cache.t;
   mutable ready_at : int;  (* thread cannot execute before this tick *)
@@ -92,7 +98,6 @@ type t = {
   mutable interrupt_hook : (tid:int -> now:int -> unit) option;
   mutable label_hook : (tid:int -> now:int -> string -> unit) option;
   mutable event_hook : (tid:int -> now:int -> event -> unit) option;
-  mutable running : thread option;  (* thread currently being resumed *)
   mutable first_failure : (int * exn) option;
   mutable quiesce_until : int;  (* Tbtso_hw: system frozen until this tick *)
   mutable quiescence_events : int;
@@ -119,7 +124,6 @@ let create cfg =
     interrupt_hook = None;
     label_hook = None;
     event_hook = None;
-    running = None;
     first_failure = None;
     quiesce_until = 0;
     quiescence_events = 0;
@@ -140,6 +144,10 @@ let set_interrupt_hook t f = t.interrupt_hook <- Some f
 let set_label_hook t f = t.label_hook <- Some f
 
 let set_event_hook t f = t.event_hook <- Some f
+
+(* Callers test [emitting] first, so that no event is built when no
+   hook is attached. *)
+let emitting t = match t.event_hook with Some _ -> true | None -> false
 
 let emit t th ev =
   match t.event_hook with Some f -> f ~tid:th.tid ~now:t.clock ev | None -> ()
@@ -228,11 +236,17 @@ let residency t tid =
   done;
   !acc
 
-(* --- Thread startup: run the body under a deep handler that stashes each
-   instruction as [pending] together with a [resume] closure. --- *)
+(* --- Thread startup: run the body under a deep handler that parks each
+   instruction in the thread's [op]/[a0]..[a2]/[k] fields. Every machine
+   operation answers [int], so one preallocated [park] serves them all. --- *)
 
 let start_thread t (th : thread) (body : unit -> unit) =
   let open Effect.Deep in
+  let park = Some (fun (k : (int, unit) continuation) -> th.k <- k) in
+  let answer_tid = Some (fun (k : (int, unit) continuation) -> continue k th.tid) in
+  let answer_stopping =
+    Some (fun (k : (bool, unit) continuation) -> continue k t.stop_requested)
+  in
   let handler : (unit, unit) handler =
     {
       retc =
@@ -240,12 +254,12 @@ let start_thread t (th : thread) (body : unit -> unit) =
           (* Completion takes effect once any trailing work/stall time
              has elapsed, so "Sim.work n" as a thread's last action still
              occupies the thread for n ticks. *)
-          th.pending <- None;
+          th.op <- O_none;
           th.done_pending <- true);
       exnc =
         (fun e ->
           th.finished <- true;
-          th.pending <- None;
+          th.op <- O_none;
           th.done_pending <- false;
           t.unfinished <- t.unfinished - 1;
           (match e with
@@ -254,66 +268,50 @@ let start_thread t (th : thread) (body : unit -> unit) =
               th.failure <- Some e;
               if t.first_failure = None then t.first_failure <- Some (th.tid, e)));
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
           match eff with
           | Sim.E_load a ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  th.pending <- Some (O_load a);
-                  th.abort <- (fun () -> discontinue k Sim.Killed);
-                  th.resume <- (fun v -> continue k v))
+              th.op <- O_load;
+              th.a0 <- a;
+              park
           | Sim.E_store (a, v) ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  th.pending <- Some (O_store (a, v));
-                  th.abort <- (fun () -> discontinue k Sim.Killed);
-                  th.resume <- (fun _ -> continue k ()))
+              th.op <- O_store;
+              th.a0 <- a;
+              th.a1 <- v;
+              park
           | Sim.E_cas (a, e, d) ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  th.pending <- Some (O_cas (a, e, d));
-                  th.abort <- (fun () -> discontinue k Sim.Killed);
-                  th.resume <- (fun v -> continue k (v <> 0)))
+              th.op <- O_cas;
+              th.a0 <- a;
+              th.a1 <- e;
+              th.a2 <- d;
+              park
           | Sim.E_faa (a, n) ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  th.pending <- Some (O_faa (a, n));
-                  th.abort <- (fun () -> discontinue k Sim.Killed);
-                  th.resume <- (fun v -> continue k v))
+              th.op <- O_faa;
+              th.a0 <- a;
+              th.a1 <- n;
+              park
           | Sim.E_xchg (a, v) ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  th.pending <- Some (O_xchg (a, v));
-                  th.abort <- (fun () -> discontinue k Sim.Killed);
-                  th.resume <- (fun v -> continue k v))
+              th.op <- O_xchg;
+              th.a0 <- a;
+              th.a1 <- v;
+              park
           | Sim.E_fence ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  th.pending <- Some O_fence;
-                  th.abort <- (fun () -> discontinue k Sim.Killed);
-                  th.resume <- (fun _ -> continue k ()))
+              th.op <- O_fence;
+              park
           | Sim.E_clock ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  th.pending <- Some O_clock;
-                  th.abort <- (fun () -> discontinue k Sim.Killed);
-                  th.resume <- (fun v -> continue k v))
+              th.op <- O_clock;
+              park
           | Sim.E_work n ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  th.pending <- Some (O_work n);
-                  th.abort <- (fun () -> discontinue k Sim.Killed);
-                  th.resume <- (fun _ -> continue k ()))
+              th.op <- O_work;
+              th.a0 <- n;
+              park
           | Sim.E_stall_until target ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  th.pending <- Some (O_stall_until target);
-                  th.abort <- (fun () -> discontinue k Sim.Killed);
-                  th.resume <- (fun _ -> continue k ()))
+              th.op <- O_stall_until;
+              th.a0 <- target;
+              park
           (* Meta-operations: answered immediately, no machine action. *)
-          | Sim.E_tid -> Some (fun (k : (a, unit) continuation) -> continue k th.tid)
-          | Sim.E_stopping ->
-              Some (fun (k : (a, unit) continuation) -> continue k t.stop_requested)
+          | Sim.E_tid -> answer_tid
+          | Sim.E_stopping -> answer_stopping
           | Sim.E_label s ->
               Some
                 (fun (k : (a, unit) continuation) ->
@@ -331,9 +329,12 @@ let spawn t body =
   let th =
     {
       tid;
-      pending = None;
-      resume = (fun _ -> ());
-      abort = (fun () -> ());
+      op = O_none;
+      a0 = 0;
+      a1 = 0;
+      a2 = 0;
+      (* No continuation until the body parks its first instruction. *)
+      k = Obj.magic ();
       buf = Store_buffer.create ();
       cache = Cache.create ~bits:t.cfg.Config.cache_bits;
       ready_at = 0;
@@ -354,9 +355,7 @@ let spawn t body =
   t.threads <- threads;
   t.nthreads <- tid + 1;
   t.unfinished <- t.unfinished + 1;
-  t.running <- Some th;
   start_thread t th body;
-  t.running <- None;
   tid
 
 (* --- Machine actions --- *)
@@ -381,7 +380,7 @@ let commit t th (e : Store_buffer.entry) ~kind =
   let age = t.clock - e.enqueued_at in
   Tbtso_obs.Hist.observe th.res.(kind_index kind) age;
   if age > th.st.max_residency then th.st.max_residency <- age;
-  emit t th (Ev_commit { addr = e.addr; value = e.value; age; kind })
+  if emitting t then emit t th (Ev_commit { addr = e.addr; value = e.value; age; kind })
 
 let drain_one t th ~kind =
   commit t th (Store_buffer.dequeue_oldest th.buf) ~kind
@@ -418,11 +417,9 @@ let drain_delay t th =
   | Config.Drain_geometric { p; cap } -> Rng.geometric th.drain_rng ~p ~cap
   | Config.Drain_adversarial -> max_int / 2
 
-let resume_thread t th v =
-  let prev = t.running in
-  t.running <- Some th;
-  th.resume v;
-  t.running <- prev;
+let resume_thread th v =
+  th.op <- O_none;
+  Effect.Deep.continue th.k v;
   match th.failure with
   | Some exn -> raise (Thread_failure { tid = th.tid; exn })
   | None -> ()
@@ -449,131 +446,120 @@ let tso_read t th addr ~charge =
   end
 
 (* Atomic RMW against memory; the store buffer is already empty. *)
-let rmw_write t th addr v =
+let rmw_write t th addr ~old v =
   check_poison t th addr ~write:true;
   Memory.write t.mem ~tid:th.tid ~at:t.clock addr v;
   ignore
     (Cache.access th.cache ~line:(Memory.line_of addr)
-       ~version:(Memory.line_version t.mem addr))
+       ~version:(Memory.line_version t.mem addr));
+  if emitting t then emit t th (Ev_rmw { addr; old_value = old; new_value = v })
 
 (* Try to execute [th]'s pending instruction; returns true if the thread
    made progress this tick (including progress by draining towards a
    fence/RMW). *)
 let exec t th =
   let costs = t.cfg.Config.costs in
-  match th.pending with
-  | None -> false
-  | Some op -> (
-      match op with
-      | O_load a ->
-          let v = tso_read t th a ~charge:true in
-          th.st.loads <- th.st.loads + 1;
-          emit t th (Ev_load { addr = a; value = v });
-          th.pending <- None;
-          resume_thread t th v;
-          true
-      | O_store (a, v) when
-          (match t.cfg.Config.consistency with
-          | Config.Tso_spatial s -> Store_buffer.length th.buf >= s
-          | Config.Sc | Config.Tso | Config.Tbtso _ | Config.Tbtso_hw _ -> false) ->
-          (* TSO[S]: the buffer is full; the oldest entry must drain
-             before this store can issue. *)
-          ignore (a, v);
-          try_drain t th ~respect_ready:false
-      | O_store (a, v) ->
-          th.st.stores <- th.st.stores + 1;
-          check_poison t th a ~write:true;
-          (match t.cfg.Config.consistency with
-          | Config.Sc ->
-              Memory.write t.mem ~tid:th.tid ~at:t.clock a v;
-              ignore
-                (Cache.access th.cache ~line:(Memory.line_of a)
-                   ~version:(Memory.line_version t.mem a))
-          | Config.Tso | Config.Tbtso _ | Config.Tso_spatial _ | Config.Tbtso_hw _ ->
-              let d = drain_delay t th in
-              Store_buffer.enqueue th.buf
-                {
-                  addr = a;
-                  value = v;
-                  enqueued_at = t.clock;
-                  ready_at = t.clock + d;
-                  rfo_until = 0;
-                });
-          th.ready_at <- t.clock + costs.store;
-          emit t th (Ev_store { addr = a; value = v });
-          th.pending <- None;
-          resume_thread t th 0;
-          true
-      | O_fence ->
-          if Store_buffer.is_empty th.buf then begin
-            th.st.fences <- th.st.fences + 1;
-            th.ready_at <- t.clock + costs.fence;
-            emit t th Ev_fence;
-            th.pending <- None;
-            resume_thread t th 0;
-            true
-          end
-          else
-            (* The memory subsystem must first empty the buffer; drains
-               may in turn wait on line-ownership upgrades. *)
-            try_drain t th ~respect_ready:false
-      | O_cas _ | O_faa _ | O_xchg _ ->
-          if not (Store_buffer.is_empty th.buf) then
-            try_drain t th ~respect_ready:false
-          else begin
-            th.st.rmws <- th.st.rmws + 1;
-            let result =
-              match op with
-              | O_cas (a, expected, desired) ->
-                  let cur = tso_read t th a ~charge:false in
-                  if cur = expected then begin
-                    rmw_write t th a desired;
-                    emit t th (Ev_rmw { addr = a; old_value = cur; new_value = desired });
-                    1
-                  end
-                  else begin
-                    emit t th (Ev_rmw { addr = a; old_value = cur; new_value = cur });
-                    0
-                  end
-              | O_faa (a, n) ->
-                  let cur = tso_read t th a ~charge:false in
-                  rmw_write t th a (cur + n);
-                  emit t th (Ev_rmw { addr = a; old_value = cur; new_value = cur + n });
-                  cur
-              | O_xchg (a, v) ->
-                  let cur = tso_read t th a ~charge:false in
-                  rmw_write t th a v;
-                  emit t th (Ev_rmw { addr = a; old_value = cur; new_value = v });
-                  cur
-              | O_load _ | O_store _ | O_fence | O_clock | O_work _ | O_stall_until _
-              | O_complete ->
-                  assert false
-            in
-            th.ready_at <- t.clock + costs.cas;
-            th.pending <- None;
-            resume_thread t th result;
-            true
-          end
-      | O_clock ->
-          th.st.clock_reads <- th.st.clock_reads + 1;
-          th.ready_at <- t.clock + costs.clock_read;
-          emit t th (Ev_clock t.clock);
-          th.pending <- None;
-          resume_thread t th t.clock;
-          true
-      | O_work n ->
-          th.ready_at <- t.clock + n;
-          th.pending <- Some O_complete;
-          true
-      | O_stall_until target ->
-          let target = if target < 0 then t.clock - target else target in
-          th.ready_at <- max th.ready_at target;
-          th.pending <- Some O_complete;
-          true
-      | O_complete ->
-          th.pending <- None;
-          resume_thread t th 0;
-          true)
+  match th.op with
+  | O_none -> false
+  | O_load ->
+      let a = th.a0 in
+      let v = tso_read t th a ~charge:true in
+      th.st.loads <- th.st.loads + 1;
+      if emitting t then emit t th (Ev_load { addr = a; value = v });
+      resume_thread th v;
+      true
+  | O_store
+    when match t.cfg.Config.consistency with
+         | Config.Tso_spatial s -> Store_buffer.length th.buf >= s
+         | Config.Sc | Config.Tso | Config.Tbtso _ | Config.Tbtso_hw _ -> false ->
+      (* TSO[S]: the buffer is full; the oldest entry must drain
+         before this store can issue. *)
+      try_drain t th ~respect_ready:false
+  | O_store ->
+      let a = th.a0 and v = th.a1 in
+      th.st.stores <- th.st.stores + 1;
+      check_poison t th a ~write:true;
+      (match t.cfg.Config.consistency with
+      | Config.Sc ->
+          Memory.write t.mem ~tid:th.tid ~at:t.clock a v;
+          ignore
+            (Cache.access th.cache ~line:(Memory.line_of a)
+               ~version:(Memory.line_version t.mem a))
+      | Config.Tso | Config.Tbtso _ | Config.Tso_spatial _ | Config.Tbtso_hw _ ->
+          let d = drain_delay t th in
+          Store_buffer.enqueue th.buf
+            {
+              addr = a;
+              value = v;
+              enqueued_at = t.clock;
+              ready_at = t.clock + d;
+              rfo_until = 0;
+            });
+      th.ready_at <- t.clock + costs.store;
+      if emitting t then emit t th (Ev_store { addr = a; value = v });
+      resume_thread th 0;
+      true
+  | O_fence ->
+      if Store_buffer.is_empty th.buf then begin
+        th.st.fences <- th.st.fences + 1;
+        th.ready_at <- t.clock + costs.fence;
+        if emitting t then emit t th Ev_fence;
+        resume_thread th 0;
+        true
+      end
+      else
+        (* The memory subsystem must first empty the buffer; drains
+           may in turn wait on line-ownership upgrades. *)
+        try_drain t th ~respect_ready:false
+  | (O_cas | O_faa | O_xchg) as op ->
+      if not (Store_buffer.is_empty th.buf) then
+        try_drain t th ~respect_ready:false
+      else begin
+        th.st.rmws <- th.st.rmws + 1;
+        let a = th.a0 in
+        let cur = tso_read t th a ~charge:false in
+        let result =
+          match op with
+          | O_cas ->
+              if cur = th.a1 then begin
+                rmw_write t th a ~old:cur th.a2;
+                1
+              end
+              else begin
+                if emitting t then
+                  emit t th (Ev_rmw { addr = a; old_value = cur; new_value = cur });
+                0
+              end
+          | O_faa ->
+              rmw_write t th a ~old:cur (cur + th.a1);
+              cur
+          | _ (* O_xchg *) ->
+              rmw_write t th a ~old:cur th.a1;
+              cur
+        in
+        th.ready_at <- t.clock + costs.cas;
+        resume_thread th result;
+        true
+      end
+  | O_clock ->
+      th.st.clock_reads <- th.st.clock_reads + 1;
+      th.ready_at <- t.clock + costs.clock_read;
+      if emitting t then emit t th (Ev_clock t.clock);
+      resume_thread th t.clock;
+      true
+  | O_work ->
+      th.ready_at <- t.clock + th.a0;
+      th.op <- O_complete;
+      true
+  | O_stall_until ->
+      let target = th.a0 in
+      let target = if target < 0 then t.clock - target else target in
+      th.ready_at <- max th.ready_at target;
+      th.op <- O_complete;
+      true
+  | O_complete ->
+      resume_thread th 0;
+      true
 
 let interrupt t th =
   (* A kernel entry drains the store buffer (Section 6.2). *)
@@ -587,30 +573,32 @@ let interrupt t th =
 
 let interrupt_due t th period = (t.clock - th.interrupt_phase) mod period = 0
 
+(* [x] if it is a future time earlier than [best], else [best]. *)
+let earliest ~clock best x = if x > clock && x < best then x else best
+
 (* Earliest future time at which anything can happen; used to fast-forward
    the clock through quiet periods (long stalls, Δ waits). *)
 let next_event_time t =
-  let best = ref max_int in
-  let note x = if x > t.clock && x < !best then best := x in
-  note t.quiesce_until;
+  let clock = t.clock in
+  let best = ref (earliest ~clock max_int t.quiesce_until) in
   for i = 0 to t.nthreads - 1 do
     let th = t.threads.(i) in
-    if not th.finished then note th.ready_at;
+    if not th.finished then best := earliest ~clock !best th.ready_at;
     (let e = Store_buffer.oldest th.buf in
      if e != Store_buffer.sentinel then begin
-       note e.ready_at;
-       note e.rfo_until;
+       best := earliest ~clock !best e.ready_at;
+       best := earliest ~clock !best e.rfo_until;
        match t.cfg.Config.consistency with
-       | Config.Tbtso delta -> note (e.enqueued_at + delta)
-       | Config.Tbtso_hw { tau; _ } -> note (e.enqueued_at + tau)
+       | Config.Tbtso delta -> best := earliest ~clock !best (e.enqueued_at + delta)
+       | Config.Tbtso_hw { tau; _ } -> best := earliest ~clock !best (e.enqueued_at + tau)
        | Config.Sc | Config.Tso | Config.Tso_spatial _ -> ()
      end);
     if (not th.finished) || not (Store_buffer.is_empty th.buf) then begin
       match t.cfg.Config.interrupt_period with
       | Some p ->
-          let r = (t.clock - th.interrupt_phase) mod p in
+          let r = (clock - th.interrupt_phase) mod p in
           let r = if r < 0 then r + p else r in
-          note (t.clock + (p - r))
+          best := earliest ~clock !best (clock + (p - r))
       | None -> ()
     end
   done;
@@ -625,22 +613,22 @@ let describe_stuck t =
       Buffer.add_string b
         (Printf.sprintf " [tid %d ready_at %d buffered %d pending %s]" th.tid th.ready_at
            (Store_buffer.length th.buf)
-           (match th.pending with
-           | None -> "none"
-           | Some (O_load _) -> "load"
-           | Some (O_store _) -> "store"
-           | Some (O_cas _) -> "cas"
-           | Some (O_faa _) -> "faa"
-           | Some (O_xchg _) -> "xchg"
-           | Some O_fence -> "fence"
-           | Some O_clock -> "clock"
-           | Some (O_work _) -> "work"
-           | Some (O_stall_until _) -> "stall"
-           | Some O_complete -> "complete"))
+           (match th.op with
+           | O_none -> "none"
+           | O_load -> "load"
+           | O_store -> "store"
+           | O_cas -> "cas"
+           | O_faa -> "faa"
+           | O_xchg -> "xchg"
+           | O_fence -> "fence"
+           | O_clock -> "clock"
+           | O_work -> "work"
+           | O_stall_until -> "stall"
+           | O_complete -> "complete"))
   done;
   Buffer.contents b
 
-let tick ?(deadline = max_int) t =
+let tick t ~deadline =
   t.clock <- t.clock + 1;
   let acted = ref false in
   (* Phase 1: timer interrupts. *)
@@ -663,16 +651,13 @@ let tick ?(deadline = max_int) t =
   | Config.Tbtso delta ->
       for i = 0 to t.nthreads - 1 do
         let th = t.threads.(i) in
-        let rec force () =
+        while
           let e = Store_buffer.oldest th.buf in
-          if e != Store_buffer.sentinel && e.enqueued_at + delta <= t.clock
-          then begin
-            drain_one t th ~kind:D_delta;
-            acted := true;
-            force ()
-          end
-        in
-        force ()
+          e != Store_buffer.sentinel && e.enqueued_at + delta <= t.clock
+        do
+          drain_one t th ~kind:D_delta;
+          acted := true
+        done
       done
   | Config.Tbtso_hw { tau; quiesce } ->
       (* The Section 6.1 bail-out: if any store has been buffered past
@@ -787,7 +772,7 @@ let run ?(max_ticks = max_int) ?stop_when t =
     else if t.clock >= deadline then Max_ticks
     else if stopped () then Stop_condition
     else begin
-      tick ~deadline t;
+      tick t ~deadline;
       loop ()
     end
   in
@@ -804,10 +789,10 @@ let kill_remaining t =
         t.unfinished <- t.unfinished - 1
       end
       else begin
-        th.pending <- None;
-        (* Discontinue the stashed continuation: Sim.Killed unwinds the
+        th.op <- O_none;
+        (* Discontinue the parked continuation: Sim.Killed unwinds the
            thread body and is absorbed by the handler's exnc. *)
-        th.abort ();
+        Effect.Deep.discontinue th.k Sim.Killed;
         th.failure <- None
       end
     end

@@ -3,7 +3,15 @@
     A flat word-addressed array with per-line version counters used by the
     coherence cost model, per-word poison flags used for use-after-free
     detection, and a bump allocator for global (never-freed) variables.
-    Dynamic allocation with reclamation lives in {!Heap}, layered on top. *)
+    Dynamic allocation with reclamation lives in {!Heap}, layered on top.
+
+    The size given to {!create} ([Config.mem_words]) is a bound, not a
+    footprint: the backing arrays start small and grow geometrically, up
+    to that bound, as words beyond them are written. A word never
+    written reads 0, its line has version 0, no owner and no reader, and
+    it is not poisoned. Every address in [\[0, words)] is valid whatever
+    the backing; any other address raises
+    [Invalid_argument "index out of bounds"]. *)
 
 type t
 
@@ -19,6 +27,7 @@ val line_shift : int
 val create : words:int -> t
 
 val words : t -> int
+(** The bound given to {!create}, not the words allocated so far. *)
 
 val read : t -> int -> int
 

@@ -14,16 +14,20 @@
     All functions must be called from inside a thread run by {!Machine};
     calling them elsewhere raises [Effect.Unhandled]. *)
 
+(* Machine operations answer [int] and take inline arguments, so that
+   the machine can park every pending instruction in preallocated
+   fields; the wrappers below convert the answer. Only {!Machine}
+   handles these effects. *)
 type _ Effect.t +=
   | E_load : int -> int Effect.t
-  | E_store : (int * int) -> unit Effect.t
-  | E_cas : (int * int * int) -> bool Effect.t
-  | E_faa : (int * int) -> int Effect.t
-  | E_xchg : (int * int) -> int Effect.t
-  | E_fence : unit Effect.t
+  | E_store : int * int -> int Effect.t
+  | E_cas : int * int * int -> int Effect.t
+  | E_faa : int * int -> int Effect.t
+  | E_xchg : int * int -> int Effect.t
+  | E_fence : int Effect.t
   | E_clock : int Effect.t
-  | E_work : int -> unit Effect.t
-  | E_stall_until : int -> unit Effect.t
+  | E_work : int -> int Effect.t
+  | E_stall_until : int -> int Effect.t
   | E_tid : int Effect.t
   | E_stopping : bool Effect.t
   | E_label : string -> unit Effect.t

@@ -796,11 +796,18 @@ let test_sat_oversize_formula () =
       (wide, M_tso);
     ];
   let sess = Axiomatic.session p in
-  check_bool "robustness query refused" true
-    (try
-       ignore (Axiomatic.robust sess M_tso);
-       false
-     with Failure _ -> true)
+  (match Axiomatic.robust sess M_tso with
+  | `Incomplete m ->
+      check_bool "refusal names the formula budget" true
+        (String.starts_with ~prefix:"SAT formula exceeds the size budget" m)
+  | `Robust | `Witness _ -> Alcotest.fail "robustness query must be refused");
+  match Adviser.advise ~fences:true ~verify:true ~file:"oversize"
+          { Litmus_parse.name = "oversize"; program = p; quantifier = Exists; condition = [] }
+  with
+  | { verdict = Adviser.Unknown _; sc_count = None; fence = None; confirmation = None; _ }
+    as r ->
+      Alcotest.(check int) "adviser exit code" 2 (Adviser.exit_code [ r ])
+  | r -> Alcotest.fail ("adviser verdict: " ^ Adviser.verdict_string r.verdict)
 
 let test_session_robustness () =
   (* One session answers every robustness query incrementally. SB's
@@ -811,7 +818,7 @@ let test_session_robustness () =
   check_bool "TBTSO[1] robust" true (Axiomatic.robust sess (M_tbtso 1) = `Robust);
   check_bool "TBTSO[3] robust" true (Axiomatic.robust sess (M_tbtso 3) = `Robust);
   (match Axiomatic.robust sess (M_tbtso 4) with
-  | `Robust -> Alcotest.fail "SB must break at Δ=4"
+  | `Robust | `Incomplete _ -> Alcotest.fail "SB must break at Δ=4"
   | `Witness w ->
       check_bool "witness beyond SC" true
         (not (List.mem w (Axiomatic.sc_outcomes sess)));

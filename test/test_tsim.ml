@@ -101,6 +101,19 @@ let test_sb_oldest_time () =
   Store_buffer.enqueue b (entry ~t:9 2 2);
   check_bool "oldest" true (Store_buffer.oldest_enqueue_time b = Some 3)
 
+let test_sb_restore_after_drain () =
+  (* The index entry of an address goes only with its newest entry. *)
+  let b = Store_buffer.create () in
+  let e1 = entry 5 1 and e2 = entry 5 2 and e3 = entry 5 3 in
+  Store_buffer.enqueue b e1;
+  Store_buffer.enqueue b e2;
+  ignore (Store_buffer.dequeue_oldest b);
+  check_bool "newer entry still forwards" true (Store_buffer.newest_for b 5 == e2);
+  ignore (Store_buffer.dequeue_oldest b);
+  check_bool "drained" true (Store_buffer.newest_for b 5 == Store_buffer.sentinel);
+  Store_buffer.enqueue b e3;
+  check_bool "re-stored" true (Store_buffer.newest_for b 5 == e3)
+
 let test_sb_dequeue_empty () =
   let b = Store_buffer.create () in
   Alcotest.check_raises "raises" (Invalid_argument "Store_buffer.dequeue_oldest: empty")
@@ -139,6 +152,59 @@ let test_mem_poison () =
   check_bool "boundary" false (Memory.is_poisoned m 14);
   Memory.unpoison m 10 ~len:4;
   check_bool "unpoisoned" false (Memory.is_poisoned m 12)
+
+let test_mem_on_demand () =
+  (* The backing grows on demand; the contents behave as one zeroed
+     array of [words] words. *)
+  let words = 1 lsl 20 in
+  let m = Memory.create ~words in
+  check_int "words is the bound" words (Memory.words m);
+  let untouched a =
+    check_int "reads 0" 0 (Memory.read m a);
+    check_int "version 0" 0 (Memory.line_version m a);
+    check_int "no owner" (-1) (Memory.line_owner m a);
+    check_bool "no reader" false (Memory.foreign_reader m a ~tid:0);
+    check_bool "not poisoned" false (Memory.is_poisoned m a)
+  in
+  List.iter untouched [ 0; 511; 512; 100_000; words - 1 ];
+  Memory.poison m 10 ~len:4;
+  (* A near write doubles the backing; a far one backs every word. *)
+  Memory.write m ~tid:1 ~at:0 600 5;
+  check_bool "poison survives doubling" true (Memory.is_poisoned m 10);
+  List.iter untouched [ 608; 1024; 100_000 ];
+  Memory.write m ~tid:2 ~at:0 (words - 1) 7;
+  check_int "near write survives growth" 5 (Memory.read m 600);
+  check_int "near line owner survives growth" 1 (Memory.line_owner m 600);
+  check_int "far write reads back" 7 (Memory.read m (words - 1));
+  check_int "far line owner" 2 (Memory.line_owner m (words - 1));
+  check_int "far line version" 1 (Memory.line_version m (words - 8));
+  check_bool "poison survives growth" true (Memory.is_poisoned m 13);
+  check_bool "poison boundary survives growth" false (Memory.is_poisoned m 14);
+  List.iter untouched [ 512; 100_000; words - 9 ];
+  Memory.note_reader m 300_000 ~tid:1;
+  check_bool "reader noted" true (Memory.foreign_reader m 300_000 ~tid:0);
+  let oob name f =
+    Alcotest.check_raises name (Invalid_argument "index out of bounds") (fun () ->
+        ignore (f ()))
+  in
+  List.iter
+    (fun a ->
+      oob "read" (fun () -> Memory.read m a);
+      oob "write" (fun () -> Memory.write m ~tid:0 ~at:0 a 1);
+      oob "line_version" (fun () -> Memory.line_version m a);
+      oob "note_reader" (fun () -> Memory.note_reader m a ~tid:0))
+    [ -1; words; words + 8 ];
+  (* The bump allocator is unchanged: line-aligned, word 0 reserved,
+     exhaustion reported against the bound. *)
+  let m = Memory.create ~words:64 in
+  check_int "first global" 8 (Memory.alloc_global m 3);
+  check_int "second global" 16 (Memory.alloc_global m 48);
+  (match Memory.alloc_global m 1 with
+  | _ -> Alcotest.fail "exhausted arena must raise"
+  | exception Memory.Out_of_memory { requested; available } ->
+      check_int "requested" 1 requested;
+      check_int "available" 0 available);
+  check_int "globals end" 64 (Memory.globals_end m)
 
 let test_mem_line_version () =
   let m = Memory.create ~words:1024 in
@@ -684,36 +750,65 @@ let test_heap_poison_lifecycle () =
 (* ------------------------------------------------------------------ *)
 
 let prop_sb_model =
-  (* The ring-buffer store buffer behaves like a plain FIFO list model. *)
+  (* The indexed ring buffer behaves like a plain FIFO list of the very
+     records enqueued, checked after every operation: forwarding must
+     return the model's newest record for each address by physical
+     identity, including after wrap-around, growth past 8/16/32 slots,
+     [clear], and a re-store of an address whose newest entry drained.
+     Enqueues outnumber dequeues 3:2 and [clear] is rare, so buffers
+     routinely reach dozens of entries. *)
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (120, map2 (fun a v -> `Enq (a, v)) (int_bound 7) (int_bound 100));
+          (79, return `Deq);
+          (1, return `Clear);
+        ])
+  in
+  let print = function
+    | `Enq (a, v) -> Printf.sprintf "enq %d=%d" a v
+    | `Deq -> "deq"
+    | `Clear -> "clear"
+  in
   QCheck.Test.make ~name:"store_buffer matches list model" ~count:300
-    QCheck.(list (pair (int_bound 7) (int_bound 100)))
+    (QCheck.make ~print:QCheck.Print.(list print)
+       QCheck.Gen.(list_size (int_bound 500) op))
     (fun ops ->
       let b = Store_buffer.create () in
       let model = ref [] in
-      List.iteri
-        (fun i (addr, v) ->
-          if v mod 3 = 0 && !model <> [] then begin
-            let e = Store_buffer.dequeue_oldest b in
-            match !model with
-            | (ma, mv) :: rest ->
-                model := rest;
-                if e.addr <> ma || e.value <> mv then QCheck.Test.fail_report "dequeue mismatch"
-            | [] -> ()
-          end
-          else begin
-            Store_buffer.enqueue b
-              { addr; value = v; enqueued_at = i; ready_at = i; rfo_until = 0 };
-            model := !model @ [ (addr, v) ]
-          end)
-        ops;
-      (* forwarding agrees with model *)
+      let newest = Array.make 8 Store_buffer.sentinel in
+      let agrees () =
+        Array.fill newest 0 8 Store_buffer.sentinel;
+        List.iter (fun (e : Store_buffer.entry) -> newest.(e.addr) <- e) !model;
+        Store_buffer.length b = List.length !model
+        && Store_buffer.oldest b
+           == (match !model with e :: _ -> e | [] -> Store_buffer.sentinel)
+        && Store_buffer.newest_for b 8 == Store_buffer.sentinel
+        && Array.for_all Fun.id
+             (Array.mapi (fun a e -> Store_buffer.newest_for b a == e) newest)
+      in
       List.for_all
-        (fun a ->
-          let expect =
-            List.fold_left (fun acc (ma, mv) -> if ma = a then Some mv else acc) None !model
-          in
-          Store_buffer.newest_value b a = expect)
-        [ 0; 1; 2; 3; 4; 5; 6; 7 ])
+        (fun op ->
+          (match op with
+          | `Enq (addr, v) ->
+              let e : Store_buffer.entry =
+                { addr; value = v; enqueued_at = 0; ready_at = 0; rfo_until = 0 }
+              in
+              Store_buffer.enqueue b e;
+              model := !model @ [ e ]
+          | `Deq -> (
+              match !model with
+              | e :: rest ->
+                  model := rest;
+                  if Store_buffer.dequeue_oldest b != e then
+                    QCheck.Test.fail_report "dequeue mismatch"
+              | [] -> ())
+          | `Clear ->
+              Store_buffer.clear b;
+              model := []);
+          agrees ())
+        ops)
 
 let prop_heap_no_overlap =
   QCheck.Test.make ~name:"heap blocks never overlap" ~count:100
@@ -1204,6 +1299,7 @@ let () =
           Alcotest.test_case "ring wraparound" `Quick test_sb_interleaved_wraparound;
           Alcotest.test_case "oldest time" `Quick test_sb_oldest_time;
           Alcotest.test_case "dequeue empty raises" `Quick test_sb_dequeue_empty;
+          Alcotest.test_case "re-store after drain" `Quick test_sb_restore_after_drain;
         ] );
       ( "memory",
         [
@@ -1212,6 +1308,7 @@ let () =
           Alcotest.test_case "alloc exhaustion" `Quick test_mem_alloc_exhaustion;
           Alcotest.test_case "poison" `Quick test_mem_poison;
           Alcotest.test_case "line versions" `Quick test_mem_line_version;
+          Alcotest.test_case "on-demand backing" `Quick test_mem_on_demand;
         ] );
       ( "cache",
         [

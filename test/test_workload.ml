@@ -217,6 +217,86 @@ let test_storebuf_machine_measurement () =
   let p50 = List.assoc 0.5 pcts in
   check_bool "median positive and small" true (p50 > 0.0 && p50 < 100_000.0)
 
+(* --- Simulator pins: exact counters recorded before the store buffer
+   index, on-demand memory and allocation-free effect protocol. Any
+   change to the simulator's scheduling, forwarding or drains moves
+   them. --- *)
+
+(* The benchmark's store-buffer cells: 8 threads storing and loading a
+   neighbour's line under adversarial drains, seed 1, 100k ticks. *)
+let storebuf_cell consistency =
+  let config =
+    {
+      (Config.with_drain Config.Drain_adversarial
+         (Config.with_consistency consistency Config.default))
+      with
+      Config.seed = 1L;
+    }
+  in
+  Residency_bench.run ~nthreads:8 ~config ~run_ticks:100_000 ()
+
+let cell_sum f (r : Residency_bench.run) =
+  List.fold_left (fun acc (t : Residency_bench.per_thread) -> acc + f t.stats) 0 r.threads
+
+let cell_instructions =
+  cell_sum (fun s -> s.Machine.loads + s.stores + s.rmws + s.fences + s.clock_reads)
+
+let test_storebuf_cells_exact () =
+  List.iter
+    (fun (label, consistency, (drains, forced, instructions, max_residency)) ->
+      let r = storebuf_cell consistency in
+      let check name want got = Alcotest.(check int) (label ^ " " ^ name) want got in
+      check "drains" drains (cell_sum (fun s -> s.Machine.drains) r);
+      check "forced drains" forced (cell_sum (fun s -> s.Machine.forced_drains) r);
+      check "instructions" instructions (cell_instructions r);
+      check "max residency" max_residency r.max_residency)
+    [
+      ("tbtso[50000]", Config.Tbtso 50_000, (24_936, 17_392, 49_872, 50_000));
+      ("tso", Config.Tso, (34_776, 0, 69_552, 100_011));
+    ]
+
+let test_fig6_cell_exact () =
+  (* HP, read/write mix, L=4: fences, RMWs, reclamation and cache misses. *)
+  let r =
+    Hashtable_bench.run
+      {
+        Hashtable_bench.spec = Smr_methods.S_hp { r = 512 };
+        config = { Config.default with Config.cache_bits = 8; seed = 1L };
+        nthreads = 8;
+        mix = Read_write;
+        buckets = 128;
+        avg_chain = 4;
+        run_ticks = 20_000;
+        stall = None;
+        seed = 1;
+      }
+  in
+  let check name want got = Alcotest.(check int) name want got in
+  check "reader ops" 916 r.reader_ops;
+  check "updater ops" 396 r.updater_ops;
+  check "peak heap words" 5_768 r.peak_heap_words;
+  check "deferred" 187 r.final_deferred;
+  check "fences" 4_719 r.fences;
+  check "rmws" 583 r.rmws;
+  check "cache misses" 3_848 r.cache_misses
+
+let test_sim_minor_words_per_instr () =
+  (* The simulator's allocation ceiling over the two store-buffer cells:
+     12.22 (the measured baseline) / 0.6 (the tolerance). It read 68
+     before the allocation-free effect protocol. Allocation does not
+     depend on machine load, so a breach is a real regression. *)
+  let mw0 = Gc.minor_words () in
+  let instructions =
+    cell_instructions (storebuf_cell (Config.Tbtso 50_000))
+    + cell_instructions (storebuf_cell Config.Tso)
+  in
+  let per_instr = (Gc.minor_words () -. mw0) /. float_of_int instructions in
+  let ceiling = 12.22 /. 0.6 in
+  check_bool
+    (Printf.sprintf "%.2f minor words/instruction over %d instructions ≤ %.2f" per_instr
+       instructions ceiling)
+    true (per_instr <= ceiling)
+
 let test_os_adapt_array () =
   let cfg = { Config.default with Config.interrupt_period = Some 1000 } in
   let machine = Machine.create cfg in
@@ -271,5 +351,13 @@ let () =
           Alcotest.test_case "os-adapt array stamped" `Quick test_os_adapt_array;
           Alcotest.test_case "os-adapt requires interrupts" `Quick
             test_os_adapt_requires_interrupts;
+        ] );
+      ( "simulator",
+        [
+          Alcotest.test_case "store-buffer cells: exact counters" `Quick
+            test_storebuf_cells_exact;
+          Alcotest.test_case "fig6 cell: exact counters" `Quick test_fig6_cell_exact;
+          Alcotest.test_case "minor words per instruction ceiling" `Quick
+            test_sim_minor_words_per_instr;
         ] );
     ]
